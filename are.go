@@ -507,47 +507,6 @@ func (s Severity) Quantile(p float64) float64 { return s.d.Quantile(p) }
 // ExceedanceProb returns P(X > x).
 func (s Severity) ExceedanceProb(x float64) float64 { return s.d.ExceedanceProb(x) }
 
-// NewLossDist builds a distribution from a PMF on a uniform grid.
-//
-// Deprecated: use SeverityFromPMF; this remains as a thin wrapper for
-// existing callers.
-func NewLossDist(step float64, pmf []float64) (*LossDist, error) { return lossdist.New(step, pmf) }
-
-// DiscretiseLoss puts a continuous CDF onto the grid.
-//
-// Deprecated: use SeverityFromCDF; this remains as a thin wrapper for
-// existing callers.
-func DiscretiseLoss(step, maxLoss float64, cdf func(float64) float64) (*LossDist, error) {
-	return lossdist.Discretise(step, maxLoss, cdf)
-}
-
-// ConvolveLosses returns the distribution of the sum of independent
-// losses (FFT-accelerated for large supports).
-//
-// Deprecated: use Severity.Convolve; this remains as a thin wrapper
-// for existing callers.
-func ConvolveLosses(ds ...*LossDist) (*LossDist, error) { return lossdist.ConvolveN(ds...) }
-
-// CompoundAnnualLoss returns the analytical distribution of the annual
-// aggregate loss for Poisson(lambda) occurrences with the given severity
-// distribution (Panjer recursion) — the closed-form counterpart to the
-// Monte Carlo engine for a single severity model.
-//
-// Deprecated: use Severity.Compound; this remains as a thin wrapper
-// for existing callers.
-func CompoundAnnualLoss(lambda float64, severity *LossDist, maxBuckets int) (*LossDist, error) {
-	return lossdist.CompoundPoisson(lambda, severity, maxBuckets)
-}
-
-// ApplyLayerTermsToDist pushes a loss distribution through
-// min(max(X-retention, 0), limit).
-//
-// Deprecated: use Severity.ApplyLayerTerms; this remains as a thin
-// wrapper for existing callers.
-func ApplyLayerTermsToDist(d *LossDist, retention, limit float64) (*LossDist, error) {
-	return lossdist.ApplyLayerTerms(d, retention, limit)
-}
-
 // ---------------------------------------------------------------------------
 // Enterprise roll-up and advanced pricing.
 

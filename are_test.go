@@ -262,46 +262,10 @@ func TestFacadeAdvancedPricingAndAllocation(t *testing.T) {
 	}
 }
 
-func TestFacadeLossDistributions(t *testing.T) {
-	sev, err := are.NewLossDist(100, []float64{0, 0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := are.ConvolveLosses(sev, sev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sum.Mean()-2*sev.Mean()) > 1e-9 {
-		t.Fatalf("convolution mean %v", sum.Mean())
-	}
-	annual, err := are.CompoundAnnualLoss(3, sev, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layered, err := are.ApplyLayerTermsToDist(annual, 100, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layered.Mean() > annual.Mean() {
-		t.Fatal("layer terms increased the mean")
-	}
-	disc, err := are.DiscretiseLoss(10, 1000, func(x float64) float64 {
-		if x >= 500 {
-			return 1
-		}
-		return x / 500
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(disc.Mean()-250) > 10 {
-		t.Fatalf("discretised uniform mean %v", disc.Mean())
-	}
-}
-
-// TestFacadeSeverity: the unified Severity type reproduces the legacy
-// per-function surface exactly, and the lognormal constructor matches
-// its target moments.
+// TestFacadeSeverity: the Severity type's constructors and deriving
+// methods compose (PMF and CDF discretisation, convolution, Panjer
+// compounding, layer terms), and the lognormal constructor matches its
+// target moments.
 func TestFacadeSeverity(t *testing.T) {
 	sev, err := are.SeverityFromPMF(100, []float64{0, 0.5, 0.5})
 	if err != nil {
@@ -335,18 +299,17 @@ func TestFacadeSeverity(t *testing.T) {
 		t.Fatalf("exceedance probability %v", p)
 	}
 
-	// The deprecated wrappers and the Severity methods are the same
-	// machinery: identical distributions, bucket for bucket.
-	oldSev, err := are.NewLossDist(100, []float64{0, 0.5, 0.5})
+	disc, err := are.SeverityFromCDF(10, 1000, func(x float64) float64 {
+		if x >= 500 {
+			return 1
+		}
+		return x / 500
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldAnnual, err := are.CompoundAnnualLoss(3, oldSev, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldAnnual.Mean() != annual.Mean() || oldAnnual.Variance() != annual.Variance() {
-		t.Fatal("Severity.Compound disagrees with CompoundAnnualLoss")
+	if math.Abs(disc.Mean()-250) > 10 {
+		t.Fatalf("discretised uniform mean %v", disc.Mean())
 	}
 
 	logn, err := are.LognormalSeverity(1000, 0.8, 25, 40000)

@@ -90,12 +90,12 @@ func ExampleEPCurve() {
 
 // Secondary uncertainty (§IV extension): the annual aggregate loss of a
 // Poisson frequency / discretised severity model via Panjer recursion.
-func ExampleCompoundAnnualLoss() {
-	severity, err := are.NewLossDist(100, []float64{0, 0.5, 0.3, 0.2})
+func ExampleSeverity_Compound() {
+	severity, err := are.SeverityFromPMF(100, []float64{0, 0.5, 0.3, 0.2})
 	if err != nil {
 		panic(err)
 	}
-	annual, err := are.CompoundAnnualLoss(2.0, severity, 256)
+	annual, err := severity.Compound(2.0, 256)
 	if err != nil {
 		panic(err)
 	}

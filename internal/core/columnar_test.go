@@ -93,13 +93,21 @@ func columnarYET(t testing.TB) *yet.Table {
 }
 
 // TestColumnarKernelsMatchOracle sweeps every lookup representation and
-// kernel against the reference oracle, asserting bitwise identity.
+// kernel against the reference oracle, asserting bitwise identity — over
+// the base fixture and over a tight stop-loss restructuring of it whose
+// aggregate limit saturates (asserted), the case the base terms never
+// reach.
 func TestColumnarKernelsMatchOracle(t *testing.T) {
-	p := columnarPortfolio(t)
+	base := columnarPortfolio(t)
 	y := columnarYET(t)
-	want, err := Reference(p, y, columnarCatalog)
-	if err != nil {
-		t.Fatal(err)
+	stopLoss := variedPortfolio(t, base, Variant{AggRetention: fptr(2_000), AggLimit: fptr(30_000)})
+	fixtures := []struct {
+		name      string
+		p         *layer.Portfolio
+		saturates bool
+	}{
+		{"base", base, false},
+		{"stop-loss", stopLoss, true},
 	}
 
 	kinds := []LookupKind{LookupDirect, LookupSorted, LookupHash, LookupCuckoo, LookupCombined}
@@ -111,30 +119,47 @@ func TestColumnarKernelsMatchOracle(t *testing.T) {
 		{"chunked", Options{ChunkSize: 8}},
 		{"profiled", Options{Profile: true}},
 	}
-	for _, kind := range kinds {
-		e, err := NewEngine(p, columnarCatalog, kind)
+	for _, fx := range fixtures {
+		want, err := Reference(fx.p, y, columnarCatalog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range kernels {
-			for _, workers := range []int{1, 4} {
-				opt := k.opt
-				opt.Lookup = kind
-				opt.Workers = workers
-				got, err := e.Run(y, opt)
-				if err != nil {
-					t.Fatal(err)
+		if fx.saturates {
+			saturated := 0
+			for _, v := range want.AggLoss[0] {
+				if v == fx.p.Layers[0].LTerms.AggLimit {
+					saturated++
 				}
-				ctx := fmt.Sprintf("%s/%s/workers=%d", kind, k.name, workers)
-				for l := range want.AggLoss {
-					for tr := range want.AggLoss[l] {
-						if math.Float64bits(got.AggLoss[l][tr]) != math.Float64bits(want.AggLoss[l][tr]) {
-							t.Fatalf("%s: layer %d trial %d agg %v != oracle %v",
-								ctx, l, tr, got.AggLoss[l][tr], want.AggLoss[l][tr])
-						}
-						if math.Float64bits(got.MaxOccLoss[l][tr]) != math.Float64bits(want.MaxOccLoss[l][tr]) {
-							t.Fatalf("%s: layer %d trial %d maxOcc %v != oracle %v",
-								ctx, l, tr, got.MaxOccLoss[l][tr], want.MaxOccLoss[l][tr])
+			}
+			if saturated == 0 {
+				t.Fatalf("%s: no trial saturates the aggregate limit; tighten it", fx.name)
+			}
+		}
+		for _, kind := range kinds {
+			e, err := NewEngine(fx.p, columnarCatalog, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kernels {
+				for _, workers := range []int{1, 4} {
+					opt := k.opt
+					opt.Lookup = kind
+					opt.Workers = workers
+					got, err := e.Run(y, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx := fmt.Sprintf("%s/%s/%s/workers=%d", fx.name, kind, k.name, workers)
+					for l := range want.AggLoss {
+						for tr := range want.AggLoss[l] {
+							if math.Float64bits(got.AggLoss[l][tr]) != math.Float64bits(want.AggLoss[l][tr]) {
+								t.Fatalf("%s: layer %d trial %d agg %v != oracle %v",
+									ctx, l, tr, got.AggLoss[l][tr], want.AggLoss[l][tr])
+							}
+							if math.Float64bits(got.MaxOccLoss[l][tr]) != math.Float64bits(want.MaxOccLoss[l][tr]) {
+								t.Fatalf("%s: layer %d trial %d maxOcc %v != oracle %v",
+									ctx, l, tr, got.MaxOccLoss[l][tr], want.MaxOccLoss[l][tr])
+							}
 						}
 					}
 				}

@@ -127,6 +127,7 @@ func NewEngine(p *layer.Portfolio, catalogSize int, kind LookupKind) (*Engine, e
 		}
 		e.layers = append(e.layers, cl)
 	}
+	e.plain = e.identitySweep()
 	return e, nil
 }
 

@@ -181,19 +181,22 @@ func BenchmarkGatherKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cl := &e.layers[0]
+		// The one kernel over the engine's identity plan: Options pick
+		// the basic or the chunked gather.
+		pl := &e.plain.layers[0]
+		var agg, occ [1]float64
 
-		w := newWorker(e, Options{Lookup: kind}, y.MeanTrialLen())
+		w := newWorker(e.plain, Options{Lookup: kind}, y.MeanTrialLen())
 		record("columnar-basic", kind.String(), func(b *testing.B) {
 			for t := 0; t < y.NumTrials(); t++ {
-				w.trialBasic(cl, y.TrialEvents(t))
+				w.sweepTrial(pl, y.TrialEvents(t), agg[:], occ[:])
 			}
 		})
 
-		wc := newWorker(e, Options{Lookup: kind, ChunkSize: 8}, y.MeanTrialLen())
+		wc := newWorker(e.plain, Options{Lookup: kind, ChunkSize: 8}, y.MeanTrialLen())
 		record("columnar-chunked", kind.String(), func(b *testing.B) {
 			for t := 0; t < y.NumTrials(); t++ {
-				wc.trialChunked(cl, y.TrialEvents(t))
+				wc.sweepTrial(pl, y.TrialEvents(t), agg[:], occ[:])
 			}
 		})
 
@@ -250,11 +253,12 @@ func BenchmarkGatherAllocFree(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cl := &e.layers[0]
-			w := newWorker(e, Options{Lookup: kind}, y.MeanTrialLen())
+			pl := &e.plain.layers[0]
+			var agg, occ [1]float64
+			w := newWorker(e.plain, Options{Lookup: kind}, y.MeanTrialLen())
 			pass := func() {
 				for t := 0; t < y.NumTrials(); t++ {
-					w.trialBasic(cl, y.TrialEvents(t))
+					w.sweepTrial(pl, y.TrialEvents(t), agg[:], occ[:])
 				}
 			}
 			pass() // warm scratch

@@ -24,17 +24,19 @@ func (e *Engine) RunPipeline(src TrialSource, sink Sink, opt Options) (PhaseBrea
 
 // RunPipelineContext is RunPipeline with cooperative cancellation:
 // workers poll ctx between trial spans, and a cancellable context
-// forces dynamic span scheduling so cancellation stays prompt.
+// forces dynamic span scheduling so cancellation stays prompt. A plain
+// run is the sweep of the engine's one identity variant, whose
+// flattened layer indices are the layer indices.
 func (e *Engine) RunPipelineContext(ctx context.Context, src TrialSource, sink Sink, opt Options) (PhaseBreakdown, error) {
-	return e.runPipelineContext(ctx, src, sink, opt, nil)
+	return e.plain.RunPipelineContext(ctx, src, sink, opt)
 }
 
-// runPipelineContext is the one orchestrator behind both the plain and
-// the sweep entry points. A non-nil sw switches workers to the fused
-// sweep kernels and widens the sink's layer-index space to the
-// flattened (variant, layer) grid; scheduling, cancellation and error
-// handling are identical either way.
-func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink Sink, opt Options, sw *SweepEngine) (PhaseBreakdown, error) {
+// RunPipelineContext is the one orchestrator behind every entry point:
+// it evaluates all of the sweep's variants in one streaming pass,
+// delivering to sink over the flattened (variant, layer) grid. It takes
+// ownership of src and closes it on return.
+func (s *SweepEngine) RunPipelineContext(ctx context.Context, src TrialSource, sink Sink, opt Options) (PhaseBreakdown, error) {
+	e := s.e
 	var zero PhaseBreakdown
 	if src == nil {
 		return zero, ErrNilSource
@@ -61,11 +63,7 @@ func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink S
 	if p, ok := src.(spanPlanner); ok {
 		p.planSpans(workers, opt.Dynamic || ctx.Done() != nil)
 	}
-	ids := e.layerIDs()
-	if sw != nil {
-		ids = sw.flatLayerIDs()
-	}
-	if err := sink.Begin(ids, nt); err != nil {
+	if err := sink.Begin(s.flatLayerIDs(), nt); err != nil {
 		return zero, err
 	}
 
@@ -81,9 +79,8 @@ func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink S
 	if workers == 1 {
 		// Sequential runs stay on the calling goroutine (streaming
 		// decode still overlaps compute via the source's prefetcher).
-		w := getWorker(e, opt, src.MeanTrialLen())
+		w := getWorker(s, opt, src.MeanTrialLen())
 		defer w.release()
-		w.sw = sw
 		for {
 			if err := ctx.Err(); err != nil {
 				return zero, err
@@ -100,10 +97,10 @@ func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink S
 					return zero, err
 				}
 			}
-			w.runSpan(b, sink)
+			w.runSweepSpan(b, sink)
 			report(b.Hi - b.Lo)
 		}
-		return e.finishPipeline(sink, w.phases), nil
+		return s.finishPipeline(sink, w.phases), nil
 	}
 
 	var (
@@ -122,9 +119,8 @@ func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink S
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			w := getWorker(e, opt, src.MeanTrialLen())
+			w := getWorker(s, opt, src.MeanTrialLen())
 			defer w.release()
-			w.sw = sw
 			for !aborted.Load() {
 				if err := ctx.Err(); err != nil {
 					fail(err)
@@ -144,7 +140,7 @@ func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink S
 						return
 					}
 				}
-				w.runSpan(b, sink)
+				w.runSweepSpan(b, sink)
 				report(b.Hi - b.Lo)
 			}
 			phases[wi] = w.phases
@@ -158,16 +154,16 @@ func (e *Engine) runPipelineContext(ctx context.Context, src TrialSource, sink S
 	for _, p := range phases {
 		total.add(p)
 	}
-	return e.finishPipeline(sink, total), nil
+	return s.finishPipeline(sink, total), nil
 }
 
 // finishPipeline stamps the engine-owned Result fields when the run
 // materialised into a FullYLT sink, so Result is complete no matter
 // which entry point drove the pipeline.
-func (e *Engine) finishPipeline(sink Sink, phases PhaseBreakdown) PhaseBreakdown {
+func (s *SweepEngine) finishPipeline(sink Sink, phases PhaseBreakdown) PhaseBreakdown {
 	if full, ok := sink.(*FullYLT); ok && full.res != nil {
 		full.res.Phases = phases
-		full.res.LookupMemory = e.lookupMem
+		full.res.LookupMemory = s.LookupMemory()
 	}
 	return phases
 }

@@ -12,7 +12,7 @@ import "sync"
 // steady state allocates O(result), not O(trials).
 
 // workerPool recycles per-goroutine kernel scratch (the lox vector,
-// span result buffers, sweep fan-out buffers) across pipeline runs.
+// per-variant span result and fan-out buffers) across pipeline runs.
 var workerPool sync.Pool
 
 // getWorker returns a worker ready for one pipeline run, reusing a
@@ -21,16 +21,15 @@ var workerPool sync.Pool
 // recycled worker's buffers are as valid as a fresh worker's — the
 // kernels overwrite before reading, within a run and across runs
 // alike.
-func getWorker(e *Engine, opt Options, meanTrialLen float64) *worker {
+func getWorker(sw *SweepEngine, opt Options, meanTrialLen float64) *worker {
 	w, ok := workerPool.Get().(*worker)
 	if !ok {
-		return newWorker(e, opt, meanTrialLen)
+		return newWorker(sw, opt, meanTrialLen)
 	}
-	w.e = e
+	w.sw = sw
 	w.opt = opt
-	w.sw = nil
 	w.phases = PhaseBreakdown{}
-	w.sampled = opt.Uncertainty.Mode == UncertaintySampled && e.sampled
+	w.sampled = opt.Uncertainty.Mode == UncertaintySampled && sw.e.sampled
 	w.zTrial = -1 // stale z from a previous run must never be reused
 	n := int(meanTrialLen) + 64
 	if n < 256 {
@@ -51,7 +50,6 @@ func getWorker(e *Engine, opt Options, meanTrialLen float64) *worker {
 // call on any path — scratch is never retained by sinks (EmitBatch's
 // contract) or results.
 func (w *worker) release() {
-	w.e = nil
 	w.sw = nil
 	w.opt = Options{}
 	workerPool.Put(w)

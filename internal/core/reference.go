@@ -86,40 +86,47 @@ func Reference(p *layer.Portfolio, y *yet.Table, catalogSize int) (*Result, erro
 				}
 			}
 
-			// Lines 10-11: occurrence terms.
-			var maxOcc float64
-			for d := 0; d < n; d++ {
-				lox[d] = a.LTerms.ApplyOcc(lox[d])
-				if lox[d] > maxOcc {
-					maxOcc = lox[d]
-				}
-			}
-
-			// Lines 12-13: running sum.
-			for d := 1; d < n; d++ {
-				lox[d] += lox[d-1]
-			}
-
-			// Lines 14-15: aggregate terms on the cumulative sums.
-			for d := 0; d < n; d++ {
-				lox[d] = a.LTerms.ApplyAgg(lox[d])
-			}
-
-			// Lines 16-17: difference back to per-occurrence payouts.
-			for d := n - 1; d >= 1; d-- {
-				lox[d] -= lox[d-1]
-			}
-
-			// Lines 18-19: trial loss.
-			var lr float64
-			for d := 0; d < n; d++ {
-				lr += lox[d]
-			}
-			res.AggLoss[li][ti] = lr
-			res.MaxOccLoss[li][ti] = maxOcc
+			res.AggLoss[li][ti], res.MaxOccLoss[li][ti] = referenceLayerTerms(a.LTerms, lox)
 		}
 	}
 	return res, nil
+}
+
+// referenceLayerTerms is lines 10-19 of the pseudocode, one literal
+// pass per line pair, shared by both oracles: it consumes the combined
+// occurrence losses lox (overwriting them) and returns the trial loss
+// and the largest occurrence loss net of occurrence terms.
+func referenceLayerTerms(lt layer.Terms, lox []float64) (trialLoss, maxOcc float64) {
+	n := len(lox)
+
+	// Lines 10-11: occurrence terms.
+	for d := 0; d < n; d++ {
+		lox[d] = lt.ApplyOcc(lox[d])
+		if lox[d] > maxOcc {
+			maxOcc = lox[d]
+		}
+	}
+
+	// Lines 12-13: running sum.
+	for d := 1; d < n; d++ {
+		lox[d] += lox[d-1]
+	}
+
+	// Lines 14-15: aggregate terms on the cumulative sums.
+	for d := 0; d < n; d++ {
+		lox[d] = lt.ApplyAgg(lox[d])
+	}
+
+	// Lines 16-17: difference back to per-occurrence payouts.
+	for d := n - 1; d >= 1; d-- {
+		lox[d] -= lox[d-1]
+	}
+
+	// Lines 18-19: trial loss.
+	for d := 0; d < n; d++ {
+		trialLoss += lox[d]
+	}
+	return trialLoss, maxOcc
 }
 
 // ReferenceSampled is Reference under sampled severities (§IV): the
@@ -224,37 +231,7 @@ func ReferenceSampled(p *layer.Portfolio, y *yet.Table, catalogSize int, seed ui
 				}
 			}
 
-			// Lines 10-11: occurrence terms.
-			var maxOcc float64
-			for d := 0; d < n; d++ {
-				lox[d] = a.LTerms.ApplyOcc(lox[d])
-				if lox[d] > maxOcc {
-					maxOcc = lox[d]
-				}
-			}
-
-			// Lines 12-13: running sum.
-			for d := 1; d < n; d++ {
-				lox[d] += lox[d-1]
-			}
-
-			// Lines 14-15: aggregate terms on the cumulative sums.
-			for d := 0; d < n; d++ {
-				lox[d] = a.LTerms.ApplyAgg(lox[d])
-			}
-
-			// Lines 16-17: difference back to per-occurrence payouts.
-			for d := n - 1; d >= 1; d-- {
-				lox[d] -= lox[d-1]
-			}
-
-			// Lines 18-19: trial loss.
-			var lr float64
-			for d := 0; d < n; d++ {
-				lr += lox[d]
-			}
-			res.AggLoss[li][ti] = lr
-			res.MaxOccLoss[li][ti] = maxOcc
+			res.AggLoss[li][ti], res.MaxOccLoss[li][ti] = referenceLayerTerms(a.LTerms, lox)
 		}
 	}
 	return res, nil

@@ -170,23 +170,24 @@ func BenchmarkSampledGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl := &e.layers[0]
+	pl := &e.plain.layers[0]
+	var agg, occ [1]float64
 
 	opt := Options{Lookup: LookupDirect,
 		Uncertainty: Uncertainty{Mode: UncertaintySampled, Seed: sampledBenchSeed}}
-	ws := newWorker(e, opt, y.MeanTrialLen())
+	ws := newWorker(e.plain, opt, y.MeanTrialLen())
 	record("sampled-columnar", "direct", func(b *testing.B) {
 		for t := 0; t < y.NumTrials(); t++ {
 			events := y.TrialEvents(t)
 			ws.fillZ(events, t)
-			ws.trialBasic(cl, events)
+			ws.sweepTrial(pl, events, agg[:], occ[:])
 		}
 	})
 
-	wm := newWorker(e, Options{Lookup: LookupDirect}, y.MeanTrialLen())
+	wm := newWorker(e.plain, Options{Lookup: LookupDirect}, y.MeanTrialLen())
 	record("mean-columnar", "direct", func(b *testing.B) {
 		for t := 0; t < y.NumTrials(); t++ {
-			wm.trialBasic(cl, y.TrialEvents(t))
+			wm.sweepTrial(pl, y.TrialEvents(t), agg[:], occ[:])
 		}
 	})
 
@@ -290,15 +291,16 @@ func BenchmarkSampledAllocFree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl := &e.layers[0]
+	pl := &e.plain.layers[0]
+	var agg, occ [1]float64
 	opt := Options{Lookup: LookupDirect,
 		Uncertainty: Uncertainty{Mode: UncertaintySampled, Seed: sampledBenchSeed}}
-	w := newWorker(e, opt, y.MeanTrialLen())
+	w := newWorker(e.plain, opt, y.MeanTrialLen())
 	pass := func() {
 		for t := 0; t < y.NumTrials(); t++ {
 			events := y.TrialEvents(t)
 			w.fillZ(events, t)
-			w.trialBasic(cl, events)
+			w.sweepTrial(pl, events, agg[:], occ[:])
 		}
 	}
 	pass() // warm scratch
@@ -332,15 +334,16 @@ func TestSampledKernelBeatsOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &e.layers[0]
+	pl := &e.plain.layers[0]
+	var agg, occ [1]float64
 	opt := Options{Lookup: LookupDirect,
 		Uncertainty: Uncertainty{Mode: UncertaintySampled, Seed: sampledBenchSeed}}
-	w := newWorker(e, opt, y.MeanTrialLen())
+	w := newWorker(e.plain, opt, y.MeanTrialLen())
 	kernelPass := func() {
 		for tr := 0; tr < y.NumTrials(); tr++ {
 			events := y.TrialEvents(tr)
 			w.fillZ(events, tr)
-			w.trialBasic(cl, events)
+			w.sweepTrial(pl, events, agg[:], occ[:])
 		}
 	}
 	l := p.Layers[0]

@@ -103,9 +103,7 @@ func (s *FullYLT) Emit(layer, trial int, aggLoss, maxOcc float64) {
 	s.res.MaxOccLoss[layer][trial] = maxOcc
 }
 
-// EmitBatch stores one span of a layer's cells. (The pipeline's workers
-// bypass even this and store into the tables directly; the method keeps
-// FullYLT usable behind MultiSink and other composing sinks.)
+// EmitBatch stores one span of a layer's cells.
 func (s *FullYLT) EmitBatch(layer, trialLo int, aggLoss, maxOcc []float64) {
 	copy(s.res.AggLoss[layer][trialLo:], aggLoss)
 	copy(s.res.MaxOccLoss[layer][trialLo:], maxOcc)

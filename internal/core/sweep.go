@@ -23,13 +23,16 @@ package core
 // index flattened to variant*NumLayers+layer; VariantSinks (sink.go)
 // demultiplexes that stream into one ordinary sink per variant.
 //
-// Bitwise contract: a variant with an empty delta reproduces the plain
-// single-run Year Loss Table exactly, for every LookupKind and kernel —
-// the fan-out loops replicate the gather kernels' floating-point
-// operation sequence and the fused layer-terms pass replicates
-// worker.layerTerms (asserted by the oracle sweep in sweep_test.go).
-// More strongly, every variant is bitwise identical to a plain run of
-// an engine compiled on the delta-applied portfolio.
+// A plain run is the degenerate sweep: NewEngine lowers the one-variant
+// identity plan (identitySweep) and Engine.RunPipeline executes it
+// through the same kernel, so there is one loop nest to hold to the
+// reference oracle.
+//
+// Bitwise contract: every variant is bitwise identical to a plain run
+// of an engine compiled on the delta-applied portfolio, for every
+// LookupKind and kernel — the fan-out loops replicate the shared
+// gathers' floating-point operation sequence (asserted by the oracle
+// sweep in sweep_test.go).
 
 import (
 	"context"
@@ -200,6 +203,19 @@ func (e *Engine) CompileSweep(p *layer.Portfolio, variants []Variant) (*SweepEng
 	return sw, nil
 }
 
+// identitySweep lowers the engine itself as the sweep of the empty
+// delta: one variant, every layer shared, the compiled layer terms
+// verbatim. NewEngine builds it once, so a plain run pays no per-run
+// compile.
+func (e *Engine) identitySweep() *SweepEngine {
+	sw := &SweepEngine{e: e, variants: []Variant{{}}, layers: make([]sweepLayer, len(e.layers))}
+	for li := range e.layers {
+		cl := &e.layers[li]
+		sw.layers[li] = sweepLayer{base: cl, lterms: []layer.Terms{cl.lterms}}
+	}
+	return sw
+}
+
 // sweepSteps lowers one layer's per-variant financial programs (or, for
 // a combined layer, its per-variant folded tables). Returns the extra
 // memory the variant tables cost beyond the base engine's.
@@ -282,14 +298,10 @@ func (s *SweepEngine) flatLayerIDs() []uint32 {
 // pull trial spans from src and deliver per-variant results to sink
 // with the layer index flattened to variant*NumLayers+layer (wrap
 // per-variant sinks in VariantSinks to demultiplex). Scheduling,
-// cancellation and Options behave exactly as Engine.RunPipeline.
+// cancellation and Options behave exactly as Engine.RunPipeline — it
+// is the same orchestrator (RunPipelineContext, pipeline.go).
 func (s *SweepEngine) RunPipeline(src TrialSource, sink Sink, opt Options) (PhaseBreakdown, error) {
 	return s.RunPipelineContext(context.Background(), src, sink, opt)
-}
-
-// RunPipelineContext is RunPipeline with cooperative cancellation.
-func (s *SweepEngine) RunPipelineContext(ctx context.Context, src TrialSource, sink Sink, opt Options) (PhaseBreakdown, error) {
-	return s.e.runPipelineContext(ctx, src, sink, opt, s)
 }
 
 // Run evaluates every variant over y and materialises one Result per
@@ -315,7 +327,7 @@ func (s *SweepEngine) Run(y *yet.Table, opt Options) ([]*Result, error) {
 		fulls[k] = NewFullYLT()
 		sinks[k] = fulls[k]
 	}
-	phases, err := s.e.runPipelineContext(context.Background(), NewTableSource(y), NewVariantSinks(sinks...), opt, s)
+	phases, err := s.RunPipelineContext(context.Background(), NewTableSource(y), NewVariantSinks(sinks...), opt)
 	if err != nil {
 		return nil, err
 	}

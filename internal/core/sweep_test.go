@@ -40,6 +40,7 @@ func sweepVariantsLayerOnly() []Variant {
 		{Name: "base"},
 		{Name: "low-attach", OccRetention: fptr(500)},
 		{Name: "stop-loss", AggRetention: fptr(20_000), AggLimit: fptr(100_000)},
+		{Name: "saturating", AggRetention: fptr(2_000), AggLimit: fptr(30_000)},
 	}
 }
 
@@ -102,7 +103,9 @@ func assertBitwise(t *testing.T, ctx string, got, want *Result) {
 // TestSweepMatchesNaiveRuns is the oracle sweep: for both variant sets
 // (fan-out and shared-gather), every LookupKind, every kernel and both
 // worker counts, each fused variant must equal the naive per-variant
-// run bitwise.
+// run bitwise — and, since the naive run is the same kernel over the
+// identity plan, the reference oracle of the delta-applied portfolio
+// too.
 func TestSweepMatchesNaiveRuns(t *testing.T) {
 	p := columnarPortfolio(t)
 	y := columnarYET(t)
@@ -128,8 +131,13 @@ func TestSweepMatchesNaiveRuns(t *testing.T) {
 		// Naive oracle per variant: an engine compiled on the
 		// delta-applied portfolio, run per kind × kernel below.
 		varied := make([]*layer.Portfolio, len(vs.variants))
+		oracle := make([]*Result, len(vs.variants))
 		for k, v := range vs.variants {
 			varied[k] = variedPortfolio(t, p, v)
+			var err error
+			if oracle[k], err = Reference(varied[k], y, columnarCatalog); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, kind := range kinds {
 			sw, err := NewSweepEngine(p, columnarCatalog, kind, vs.variants)
@@ -159,6 +167,7 @@ func TestSweepMatchesNaiveRuns(t *testing.T) {
 						ctx := fmt.Sprintf("%s/%s/%s/workers=%d/variant=%d(%s)",
 							vs.name, kind, kr.name, workers, k, v.Name)
 						assertBitwise(t, ctx, got[k], want)
+						assertBitwise(t, ctx+"/oracle", got[k], oracle[k])
 					}
 				}
 			}
@@ -167,11 +176,17 @@ func TestSweepMatchesNaiveRuns(t *testing.T) {
 }
 
 // TestSweepVariantZeroIsPlainRun pins the headline contract directly:
-// variant 0 with the empty delta reproduces the plain engine's Run on
-// the same engine instance, bitwise, under dynamic scheduling too.
+// variant 0 with the empty delta — gathered through the fan-out plan —
+// and the plain run — the identity plan's shared gather — both
+// reproduce the reference oracle of the unmodified portfolio, bitwise,
+// under dynamic scheduling too.
 func TestSweepVariantZeroIsPlainRun(t *testing.T) {
 	p := columnarPortfolio(t)
 	y := columnarYET(t)
+	want, err := Reference(p, y, columnarCatalog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range []LookupKind{LookupDirect, LookupSorted, LookupHash, LookupCuckoo, LookupCombined} {
 		e, err := NewEngine(p, columnarCatalog, kind)
 		if err != nil {
@@ -181,7 +196,7 @@ func TestSweepVariantZeroIsPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.Run(y, Options{Lookup: kind, Workers: 3, Dynamic: true})
+		plain, err := e.Run(y, Options{Lookup: kind, Workers: 3, Dynamic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +204,8 @@ func TestSweepVariantZeroIsPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitwise(t, kind.String(), got[0], want)
+		assertBitwise(t, kind.String()+"/plain", plain, want)
+		assertBitwise(t, kind.String()+"/variant0", got[0], want)
 	}
 }
 
@@ -230,12 +246,14 @@ func TestSweepPipelineVariantSinks(t *testing.T) {
 	}
 }
 
-// TestSweepLayerTermsMatchesInPlace pins the fused single-loop layer
-// pass against the in-place two-loop worker.layerTerms over random
-// inputs: bitwise-equal outputs are what let one gathered buffer serve
-// every variant.
-func TestSweepLayerTermsMatchesInPlace(t *testing.T) {
+// TestSweepLayerTermsMatchesReference holds the kernel's single-pass
+// layer terms to the oracle's line-by-line transcription
+// (referenceLayerTerms) over random inputs, bitwise — including empty
+// trials, occurrences the retention zeroes out and trials that saturate
+// the aggregate limit, each asserted to occur.
+func TestSweepLayerTermsMatchesReference(t *testing.T) {
 	r := rng.New(23)
+	var empty, zeroed, saturated int
 	for trial := 0; trial < 200; trial++ {
 		n := r.Intn(40)
 		lox := make([]float64, n)
@@ -249,17 +267,27 @@ func TestSweepLayerTermsMatchesInPlace(t *testing.T) {
 			AggLimit:     r.Range(1, 500_000),
 		}
 		gotAgg, gotMax := sweepLayerTerms(lt, lox)
-
-		w := &worker{}
-		cl := &compiledLayer{lterms: lt}
-		cp := append([]float64(nil), lox...)
-		wantAgg, wantMax := w.layerTerms(cl, cp)
+		for _, l := range lox {
+			if lt.ApplyOcc(l) == 0 {
+				zeroed++
+			}
+		}
+		wantAgg, wantMax := referenceLayerTerms(lt, append([]float64(nil), lox...))
 
 		if math.Float64bits(gotAgg) != math.Float64bits(wantAgg) ||
 			math.Float64bits(gotMax) != math.Float64bits(wantMax) {
-			t.Fatalf("trial %d: fused (%v, %v) != in-place (%v, %v)",
+			t.Fatalf("trial %d: kernel (%v, %v) != reference (%v, %v)",
 				trial, gotAgg, gotMax, wantAgg, wantMax)
 		}
+		if n == 0 {
+			empty++
+		}
+		if gotAgg == lt.AggLimit {
+			saturated++
+		}
+	}
+	if empty == 0 || zeroed == 0 || saturated == 0 {
+		t.Fatalf("fixture missed an edge: %d empty, %d zeroed occurrences, %d saturated", empty, zeroed, saturated)
 	}
 }
 

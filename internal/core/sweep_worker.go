@@ -1,146 +1,16 @@
 package core
 
-// Sweep kernels: the per-worker execution of a scenario sweep. One
-// gather pass per (layer, trial), K fan-outs — see sweep.go for the
-// design and the bitwise contract these loops uphold.
+// Fan-out gathers: the gather phase of layers whose variants alter
+// financial terms. One raw-loss gather per (ELT, trial), K program
+// applications — see sweep.go for the design and the bitwise contract
+// these loops uphold. Layers every variant gathers alike (every layer
+// of a plain run) take the shared gathers in worker.go instead.
 
 import (
 	"time"
 
 	"github.com/ralab/are/internal/elt"
-	"github.com/ralab/are/internal/layer"
 )
-
-// runSweepSpan evaluates one batch of trials for every layer and every
-// variant, delivering results span-at-a-time: one EmitBatch per
-// (variant, layer, span) with the layer index flattened to
-// variant*NumLayers+layer (VariantSinks demultiplexes).
-func (w *worker) runSweepSpan(b Batch, sink Sink) {
-	sw := w.sw
-	span := b.Hi - b.Lo
-	numK := len(sw.variants)
-	numL := len(sw.layers)
-	w.sizeSweepScratch(numK, span)
-
-	for li := range sw.layers {
-		sl := &sw.layers[li]
-		for t := b.Lo; t < b.Hi; t++ {
-			events := b.Table.TrialEvents(t)
-			if w.sampled {
-				w.fillZ(events, w.opt.Uncertainty.TrialOffset+b.Offset+t)
-			}
-			// Slice to this sweep's variant count: recycled workers may
-			// carry wider scratch from an earlier, larger sweep.
-			w.sweepTrial(sl, events, w.varAgg[:numK], w.varOcc[:numK])
-			for k := 0; k < numK; k++ {
-				w.sweepAgg[k][t-b.Lo] = w.varAgg[k]
-				w.sweepOcc[k][t-b.Lo] = w.varOcc[k]
-			}
-		}
-		for k := 0; k < numK; k++ {
-			sink.EmitBatch(k*numL+li, b.Offset+b.Lo, w.sweepAgg[k][:span], w.sweepOcc[k][:span])
-		}
-	}
-}
-
-// sizeSweepScratch grows the per-variant result scratch to K variants
-// and span trials; steady-state spans reuse it without allocating.
-func (w *worker) sizeSweepScratch(numK, span int) {
-	if len(w.varAgg) < numK {
-		w.varAgg = make([]float64, numK)
-		w.varOcc = make([]float64, numK)
-	}
-	for len(w.sweepAgg) < numK {
-		w.sweepAgg = append(w.sweepAgg, nil)
-		w.sweepOcc = append(w.sweepOcc, nil)
-	}
-	for k := 0; k < numK; k++ {
-		if cap(w.sweepAgg[k]) < span {
-			w.sweepAgg[k] = make([]float64, span)
-			w.sweepOcc[k] = make([]float64, span)
-		}
-	}
-}
-
-// sweepTrial computes every variant's (aggLoss, maxOcc) for one trial
-// of one layer into aggs/maxs (each len K). The gather is paid once:
-// shared layers compute a single occurrence-loss buffer through the
-// plain kernels and fan out only at the layer terms; fan-out layers
-// gather each ELT's raw losses once and apply all K programs to the
-// column.
-func (w *worker) sweepTrial(sl *sweepLayer, events []uint32, aggs, maxs []float64) {
-	if len(events) == 0 {
-		clear(aggs)
-		clear(maxs)
-		return
-	}
-	if sl.shared() {
-		var lox []float64
-		switch {
-		case w.opt.Profile:
-			lox = w.profiledLox(sl.base, events)
-		case w.opt.ChunkSize > 0:
-			lox = w.chunkedLox(sl.base, events)
-		default:
-			lox = w.basicLox(sl.base, events)
-		}
-		w.sweepLayerPhase(sl, lox, nil, aggs, maxs)
-		return
-	}
-
-	loxK := w.bufK(len(aggs), len(events))
-	switch {
-	case w.opt.Profile:
-		w.profiledLoxK(sl, events, loxK)
-	case w.opt.ChunkSize > 0:
-		w.chunkedLoxK(sl, events, loxK)
-	default:
-		w.basicLoxK(sl, events, loxK)
-	}
-	w.sweepLayerPhase(sl, nil, loxK, aggs, maxs)
-}
-
-// sweepLayerPhase applies each variant's layer terms — to the shared
-// lox buffer when every variant gathered the same losses, else to the
-// variant's own buffer — accumulating profile time when enabled.
-func (w *worker) sweepLayerPhase(sl *sweepLayer, lox []float64, loxK [][]float64, aggs, maxs []float64) {
-	var t0 time.Time
-	if w.opt.Profile {
-		t0 = time.Now()
-	}
-	for k := range aggs {
-		v := lox
-		if v == nil {
-			v = loxK[k]
-		}
-		aggs[k], maxs[k] = sweepLayerTerms(sl.lterms[k], v)
-	}
-	if w.opt.Profile {
-		w.phases.LayerTerms += time.Since(t0)
-	}
-}
-
-// sweepLayerTerms is worker.layerTerms without the in-place update, so
-// one gathered lox buffer can serve every variant: occurrence terms per
-// occurrence (line 11), then the running-sum aggregate terms
-// (lines 12-17). The per-occurrence floating-point operation sequence
-// is identical to layerTerms — v is computed once, fed to the max and
-// the running sum exactly as the stored element would be — so results
-// are bitwise identical (pinned by TestSweepLayerTermsMatchesInPlace).
-func sweepLayerTerms(lt layer.Terms, lox []float64) (aggLoss, maxOcc float64) {
-	var running, prev float64
-	for _, l := range lox {
-		v := lt.ApplyOcc(l)
-		if v > maxOcc {
-			maxOcc = v
-		}
-		running += v
-		capped := lt.ApplyAgg(running)
-		aggLoss += capped - prev
-		prev = capped
-	}
-	return aggLoss, maxOcc
-}
 
 // bufK returns K zeroed occurrence-loss buffers of length n.
 func (w *worker) bufK(numK, n int) [][]float64 {

@@ -267,6 +267,9 @@ type Engine struct {
 	// inverse-CDF for everything else, which is most of the column for
 	// sparse portfolios. nil when the portfolio has no sampled tables.
 	zOcc []uint64
+	// plain is the one-variant identity sweep every plain run executes
+	// (see identitySweep); sweeps of real variant sets compile their own.
+	plain *SweepEngine
 }
 
 // Construction errors.

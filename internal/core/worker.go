@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/ralab/are/internal/layer"
 	"github.com/ralab/are/internal/rng"
 	"github.com/ralab/are/internal/stats"
 )
@@ -14,30 +15,23 @@ import (
 // ids/raw vectors. Everything is allocated once per worker and reused
 // across trials, so the steady-state hot path performs no allocation.
 type worker struct {
-	e   *Engine
+	// sw is the compiled variant set the run evaluates — the engine's
+	// one-variant identity sweep for a plain run.
+	sw  *SweepEngine
 	opt Options
-
-	// sw is non-nil when the worker executes a scenario sweep; spans
-	// then route through runSweepSpan (sweep_worker.go).
-	sw *SweepEngine
 
 	// lox[d] is the combined loss of occurrence d net of financial
 	// terms, then net of occurrence terms — the paper's lox vector.
 	lox []float64
 
 	// chunk is the ChunkSize-long local buffer used by the optimised
-	// kernel (and the sweep fan-out's raw-loss chunk scratch).
+	// kernel (and the fan-out gather's raw-loss chunk scratch).
 	chunk []float64
-
-	// aggBuf/occBuf collect one span's per-trial results for a single
-	// EmitBatch call per (layer, span) — replacing an interface call
-	// per cell for non-materialising sinks.
-	aggBuf, occBuf []float64
 
 	// ids and raw are the profiled kernel's phase vectors (fetched
 	// event IDs; per-ELT raw losses), hoisted here so profiling does
-	// not allocate per trial. The sweep's basic fan-out kernel reuses
-	// raw as its gathered loss column.
+	// not allocate per trial. The basic fan-out gather reuses raw as
+	// its gathered loss column.
 	ids []uint32
 	raw []float64
 
@@ -53,9 +47,10 @@ type worker struct {
 	z       []float64
 	zTrial  int
 
-	// Sweep scratch (sweep_worker.go): per-variant occurrence-loss
-	// buffers, per-trial variant results, and per-variant span buffers
-	// for batched sink delivery. Sized lazily on the first sweep span.
+	// Per-variant scratch: occurrence-loss buffers for the fan-out
+	// gathers (sweep_worker.go), per-trial variant results, and
+	// per-variant span buffers for batched sink delivery. Sized lazily
+	// on the first span.
 	loxK               [][]float64
 	varAgg, varOcc     []float64
 	sweepAgg, sweepOcc [][]float64
@@ -63,9 +58,9 @@ type worker struct {
 	phases PhaseBreakdown
 }
 
-func newWorker(e *Engine, opt Options, meanTrialLen float64) *worker {
-	w := &worker{e: e, opt: opt}
-	w.sampled = opt.Uncertainty.Mode == UncertaintySampled && e.sampled
+func newWorker(sw *SweepEngine, opt Options, meanTrialLen float64) *worker {
+	w := &worker{sw: sw, opt: opt}
+	w.sampled = opt.Uncertainty.Mode == UncertaintySampled && sw.e.sampled
 	w.zTrial = -1
 	n := int(meanTrialLen) + 64
 	if n < 256 {
@@ -97,7 +92,7 @@ func (w *worker) fillZ(events []uint32, gt int) {
 	}
 	w.z = w.z[:len(events)]
 	cs := rng.NewCounterStream(w.opt.Uncertainty.Seed, uint64(gt))
-	occ := w.e.zOcc
+	occ := w.sw.e.zOcc
 	for i, ev := range events {
 		if occ[ev>>6]&(1<<(ev&63)) != 0 {
 			w.z[i] = stats.InvNormCDF(cs.Float64Open(uint64(ev)))
@@ -106,76 +101,105 @@ func (w *worker) fillZ(events []uint32, gt int) {
 	w.zTrial = gt
 }
 
-// runSpan evaluates one batch of trials for every layer, delivering
-// results span-at-a-time. The FullYLT sink is special-cased to plain
-// slice stores — its cells are disjoint per worker, needing no
-// synchronisation; every other sink receives one EmitBatch call per
-// (layer, span), so no per-cell interface dispatch survives on the hot
-// path either way.
-func (w *worker) runSpan(b Batch, sink Sink) {
-	if w.sw != nil {
-		w.runSweepSpan(b, sink)
-		return
-	}
-	full, _ := sink.(*FullYLT)
+// runSweepSpan is the one span kernel: it evaluates a batch of trials
+// for every layer and every variant (one, the empty delta, for a plain
+// run), delivering results span-at-a-time — one EmitBatch per
+// (variant, layer, span) with the layer index flattened to
+// variant*NumLayers+layer (VariantSinks demultiplexes; with one variant
+// the flattened index is the layer index). No per-cell interface
+// dispatch survives on the hot path.
+func (w *worker) runSweepSpan(b Batch, sink Sink) {
+	sw := w.sw
 	span := b.Hi - b.Lo
-	if full == nil && cap(w.aggBuf) < span {
-		w.aggBuf = make([]float64, span)
-		w.occBuf = make([]float64, span)
-	}
-	for li := range w.e.layers {
-		cl := &w.e.layers[li]
-		var agg, maxOcc []float64
-		if full != nil {
-			agg = full.res.AggLoss[li]
-			maxOcc = full.res.MaxOccLoss[li]
-		} else {
-			agg = w.aggBuf[:span]
-			maxOcc = w.occBuf[:span]
-		}
+	numK := len(sw.variants)
+	numL := len(sw.layers)
+	w.sizeSweepScratch(numK, span)
+
+	for li := range sw.layers {
+		sl := &sw.layers[li]
 		for t := b.Lo; t < b.Hi; t++ {
 			events := b.Table.TrialEvents(t)
 			if w.sampled {
 				w.fillZ(events, w.opt.Uncertainty.TrialOffset+b.Offset+t)
 			}
-			var a, m float64
-			switch {
-			case w.opt.Profile:
-				a, m = w.trialProfiled(cl, events)
-			case w.opt.ChunkSize > 0:
-				a, m = w.trialChunked(cl, events)
-			default:
-				a, m = w.trialBasic(cl, events)
-			}
-			if full != nil {
-				agg[b.Offset+t] = a
-				maxOcc[b.Offset+t] = m
-			} else {
-				agg[t-b.Lo] = a
-				maxOcc[t-b.Lo] = m
+			// Slice to this run's variant count: recycled workers may
+			// carry wider scratch from an earlier, larger sweep.
+			w.sweepTrial(sl, events, w.varAgg[:numK], w.varOcc[:numK])
+			for k := 0; k < numK; k++ {
+				w.sweepAgg[k][t-b.Lo] = w.varAgg[k]
+				w.sweepOcc[k][t-b.Lo] = w.varOcc[k]
 			}
 		}
-		if full == nil {
-			sink.EmitBatch(li, b.Offset+b.Lo, agg, maxOcc)
+		for k := 0; k < numK; k++ {
+			sink.EmitBatch(k*numL+li, b.Offset+b.Lo, w.sweepAgg[k][:span], w.sweepOcc[k][:span])
 		}
 	}
 }
 
-// trialBasic is the paper's basic kernel: for one trial and one layer,
-// steps 1-4 of §II.B over the whole event column at once. Each plan
-// step is one batch gather — ELT-major, matching the packed
-// flat-vector layout — with a monomorphic inner loop (see plan.go).
-func (w *worker) trialBasic(cl *compiledLayer, events []uint32) (aggLoss, maxOcc float64) {
-	n := len(events)
-	if n == 0 {
-		return 0, 0
+// sizeSweepScratch grows the per-variant result scratch to K variants
+// and span trials; steady-state spans reuse it without allocating.
+func (w *worker) sizeSweepScratch(numK, span int) {
+	if len(w.varAgg) < numK {
+		w.varAgg = make([]float64, numK)
+		w.varOcc = make([]float64, numK)
 	}
-	return w.layerTerms(cl, w.basicLox(cl, events))
+	for len(w.sweepAgg) < numK {
+		w.sweepAgg = append(w.sweepAgg, nil)
+		w.sweepOcc = append(w.sweepOcc, nil)
+	}
+	for k := 0; k < numK; k++ {
+		if cap(w.sweepAgg[k]) < span {
+			w.sweepAgg[k] = make([]float64, span)
+			w.sweepOcc[k] = make([]float64, span)
+		}
+	}
 }
 
-// basicLox runs the basic kernel's gather phase: every plan step
+// sweepTrial computes every variant's (aggLoss, maxOcc) for one trial
+// of one layer into aggs/maxs (each len K) — steps 1-4 of §II.B. The
+// gather is paid once: shared layers (every plain run) compute a single
+// occurrence-loss buffer and fan out only at the layer terms; fan-out
+// layers gather each ELT's raw losses once and apply all K programs to
+// the column (sweep_worker.go). Options pick the gather discipline —
+// basic (whole event column), chunked (ChunkSize blocks) or profiled
+// (phase-separated, timed) — all bitwise identical.
+func (w *worker) sweepTrial(sl *sweepLayer, events []uint32, aggs, maxs []float64) {
+	if len(events) == 0 {
+		clear(aggs)
+		clear(maxs)
+		return
+	}
+	if sl.shared() {
+		var lox []float64
+		switch {
+		case w.opt.Profile:
+			lox = w.profiledLox(sl.base, events)
+		case w.opt.ChunkSize > 0:
+			lox = w.chunkedLox(sl.base, events)
+		default:
+			lox = w.basicLox(sl.base, events)
+		}
+		w.sweepLayerPhase(sl, lox, nil, aggs, maxs)
+		return
+	}
+
+	loxK := w.bufK(len(aggs), len(events))
+	switch {
+	case w.opt.Profile:
+		w.profiledLoxK(sl, events, loxK)
+	case w.opt.ChunkSize > 0:
+		w.chunkedLoxK(sl, events, loxK)
+	default:
+		w.basicLoxK(sl, events, loxK)
+	}
+	w.sweepLayerPhase(sl, nil, loxK, aggs, maxs)
+}
+
+// basicLox is the paper's basic kernel's gather phase: every plan step
 // batch-gathered over the whole event column into the zeroed lox
-// buffer (steps 1-2 of §II.B; lines 5-9 per ELT).
+// buffer (steps 1-2 of §II.B; lines 5-9 per ELT) — ELT-major, matching
+// the packed flat-vector layout, with a monomorphic inner loop per step
+// (see plan.go).
 func (w *worker) basicLox(cl *compiledLayer, events []uint32) []float64 {
 	lox := w.buf(len(events))
 	if w.sampled {
@@ -191,22 +215,12 @@ func (w *worker) basicLox(cl *compiledLayer, events []uint32) []float64 {
 	return lox
 }
 
-// trialChunked is the optimised kernel: identical arithmetic, but events
-// move through a fixed-size chunk buffer so the working set per step is
-// ChunkSize values (the GPU shared-memory discipline). The floating-point
-// operation sequence per occurrence is unchanged, so results are bitwise
-// identical to trialBasic.
-func (w *worker) trialChunked(cl *compiledLayer, events []uint32) (aggLoss, maxOcc float64) {
-	n := len(events)
-	if n == 0 {
-		return 0, 0
-	}
-	return w.layerTerms(cl, w.chunkedLox(cl, events))
-}
-
-// chunkedLox runs the chunked kernel's gather phase: events move
-// through the fixed-size chunk buffer, each fully gathered block copied
-// into lox.
+// chunkedLox is the optimised kernel's gather phase: identical
+// arithmetic to basicLox, but events move through the fixed-size chunk
+// buffer so the working set per step is ChunkSize values (the GPU
+// shared-memory discipline), each fully gathered block copied into lox.
+// The floating-point operation sequence per occurrence is unchanged, so
+// results are bitwise identical.
 func (w *worker) chunkedLox(cl *compiledLayer, events []uint32) []float64 {
 	n := len(events)
 	lox := w.buf(n)
@@ -234,28 +248,13 @@ func (w *worker) chunkedLox(cl *compiledLayer, events []uint32) []float64 {
 	return lox
 }
 
-// trialProfiled mirrors the paper's phase-separated loops (one pass per
-// algorithm step) and accumulates wall time per phase, producing the
-// Figure 6b breakdown. It is arithmetically equivalent but NOT guaranteed
-// bitwise-identical to the fused kernels (the raw-loss pass accumulates in
-// the same ELT order, so in practice it matches; tests assert equality).
-func (w *worker) trialProfiled(cl *compiledLayer, events []uint32) (aggLoss, maxOcc float64) {
-	n := len(events)
-	if n == 0 {
-		return 0, 0
-	}
-	lox := w.profiledLox(cl, events)
-
-	// Phase (d): occurrence + aggregate layer terms (lines 10-19).
-	t := time.Now()
-	aggLoss, maxOcc = w.layerTerms(cl, lox)
-	w.phases.LayerTerms += time.Since(t)
-	return aggLoss, maxOcc
-}
-
-// profiledLox runs the profiled kernel's phases (a)-(c) — event fetch,
-// ELT lookup, financial terms — accumulating wall time per phase and
-// returning the combined occurrence losses.
+// profiledLox mirrors the paper's phase-separated loops (one pass per
+// algorithm step) for phases (a)-(c) — event fetch, ELT lookup,
+// financial terms — accumulating wall time per phase, producing the
+// Figure 6b breakdown, and returning the combined occurrence losses
+// (phase (d), the layer terms, is timed by sweepLayerPhase). The
+// raw-loss pass accumulates in the same ELT order as the fused gathers,
+// so results are bitwise identical (tests assert equality).
 func (w *worker) profiledLox(cl *compiledLayer, events []uint32) []float64 {
 	n := len(events)
 	lox := w.buf(n)
@@ -314,22 +313,40 @@ func (w *worker) profiledLox(cl *compiledLayer, events []uint32) []float64 {
 	return lox
 }
 
-// layerTerms applies steps 3 and 4 of the algorithm to the combined
-// occurrence losses: occurrence terms per occurrence (line 11), then the
-// running-sum aggregate terms (lines 12-17) whose differenced payouts sum
-// to the trial loss (line 19).
-func (w *worker) layerTerms(cl *compiledLayer, lox []float64) (aggLoss, maxOcc float64) {
-	lt := cl.lterms
-	for d := range lox {
-		v := lt.ApplyOcc(lox[d])
-		lox[d] = v
+// sweepLayerPhase applies each variant's layer terms — to the shared
+// lox buffer when every variant gathered the same losses, else to the
+// variant's own buffer — accumulating profile time (phase (d),
+// lines 10-19) when enabled.
+func (w *worker) sweepLayerPhase(sl *sweepLayer, lox []float64, loxK [][]float64, aggs, maxs []float64) {
+	var t0 time.Time
+	if w.opt.Profile {
+		t0 = time.Now()
+	}
+	for k := range aggs {
+		v := lox
+		if v == nil {
+			v = loxK[k]
+		}
+		aggs[k], maxs[k] = sweepLayerTerms(sl.lterms[k], v)
+	}
+	if w.opt.Profile {
+		w.phases.LayerTerms += time.Since(t0)
+	}
+}
+
+// sweepLayerTerms applies steps 3 and 4 of the algorithm to the
+// combined occurrence losses without touching them, so one gathered lox
+// buffer can serve every variant: occurrence terms per occurrence
+// (line 11), then the running-sum aggregate terms (lines 12-17) whose
+// differenced payouts sum to the trial loss (line 19).
+func sweepLayerTerms(lt layer.Terms, lox []float64) (aggLoss, maxOcc float64) {
+	var running, prev float64
+	for _, l := range lox {
+		v := lt.ApplyOcc(l)
 		if v > maxOcc {
 			maxOcc = v
 		}
-	}
-	var running, prev float64
-	for d := range lox {
-		running += lox[d]
+		running += v
 		capped := lt.ApplyAgg(running)
 		aggLoss += capped - prev
 		prev = capped

@@ -1,16 +1,19 @@
 package server
 
-// Fused batch execution: N compatible jobs, one gather pass. The
-// planner (planner.go) guarantees every member shares base artifacts
-// and effective worker count; this file turns the batch into a single
-// SweepEngine pass whose variant list is the concatenation of each
-// member's variants (a plain job contributes one empty variant — which
-// the sweep engine compiles to the exact base program), demuxing
-// per-variant sinks back to their owning jobs. Each member keeps its
-// own journal records, progress, SSE stream, quota slot and result —
-// and at workers=1 (the bitwise regime) the result is bitwise-identical
-// to a solo run, because per-sink emission order is the span order
-// either way.
+// The one local execution path: prepare → variants → sinks → one pass
+// → render. Every local job runs as a member of a batch, and every
+// member is a window of one compiled variant list: a plain job
+// contributes the one empty variant (which the sweep engine compiles to
+// the exact base program), a sweep job its requested variants, and the
+// batch is priced in a single SweepEngine gather pass demuxed through
+// per-variant sinks back to the owning jobs. The planner (planner.go)
+// guarantees every member shares base artifacts and effective worker
+// count. A solo job is the batch of one, a plain job the window of one
+// (K=1); RunLocal is the batch of one with the YLT kept. Each member
+// keeps its own journal records, progress, SSE stream, quota slot and
+// result — and at workers=1 (the bitwise regime) the result is
+// bitwise-identical whatever the batch, because per-sink emission order
+// is the span order either way.
 
 import (
 	"context"
@@ -20,12 +23,13 @@ import (
 
 	"github.com/ralab/are/internal/artifact"
 	"github.com/ralab/are/internal/core"
+	"github.com/ralab/are/internal/spec"
 )
 
 // runBatch executes one admission batch. Members cancelled while
-// queued drop out first; a single survivor runs the plain solo path; a
-// real batch attempts the fused pass and falls back to sequential solo
-// runs for any members the fused path could not finish.
+// queued drop out first; the rest run under one execution slot —
+// fanned out across the cluster one by one in the coordinator role
+// (whose batches are always of one), through the local path otherwise.
 func (s *scheduler) runBatch(batch []*Job) {
 	s.metrics.batchSizes.observe(len(batch))
 	live := make([]*Job, 0, len(batch))
@@ -50,14 +54,14 @@ func (s *scheduler) runBatch(batch []*Job) {
 	case <-ctx.Done():
 	}
 
-	rest := live
-	if len(live) > 1 {
-		rest = s.runFused(ctx, live)
+	if s.coord != nil {
+		for _, j := range live {
+			res, err := s.executeDistributed(j)
+			s.finish(j, res, err)
+		}
+		return
 	}
-	for _, j := range rest {
-		res, err := s.executeJob(j)
-		s.finish(j, res, err)
-	}
+	s.runLocal(ctx, live)
 }
 
 // batchContext returns a context cancelled only once EVERY member's
@@ -85,118 +89,181 @@ func batchContext(live []*Job) (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// memberRun is one member's sink stacks for a fused pass: one
-// sinkSet (+ optional materialising YLT) per variant, exactly what the
-// member's solo path would have built.
-type memberRun struct {
-	sets  []*sinkSet
-	fulls []*core.FullYLT
-}
-
-// runFused prices the batch in one fused pass and finishes every
-// member it can. It returns the members that still need solo execution:
-// nil on success, the surviving members when the fused path declines
-// (compile or pipeline error) — falling back re-runs them through the
-// exact solo path, reproducing solo errors and cancellation semantics.
-func (s *scheduler) runFused(ctx context.Context, live []*Job) []*Job {
-	// Per-member artifact prepare: every member pays its own tenant
-	// cache accounting (hit/miss/bytes), exactly like the equivalent
-	// sequence of solo runs — the first miss builds, the rest hit. A
-	// member whose prepare fails (cancelled, artifact error) finishes
-	// here with the error its solo run would have produced.
-	ok := make([]*Job, 0, len(live))
-	arts := make([]*jobArtifacts, 0, len(live))
+// runLocal runs the started members of one batch through the local
+// path and finishes every one of them. Each member is prepared exactly
+// once — paying its own tenant cache accounting (hit/miss/bytes), the
+// first miss building and the rest hitting — and a member whose prepare
+// fails (cancelled, artifact error) finishes with that error. When a
+// joint compile or pass fails, the survivors re-run as batches of one
+// over the artifacts already prepared, so every job reproduces the
+// error or cancellation it would have met alone.
+func (s *scheduler) runLocal(ctx context.Context, live []*Job) {
+	jobs := make([]*Job, 0, len(live))
+	ms := make([]*member, 0, len(live))
 	for _, j := range live {
 		a, err := s.prepare(j)
 		if err != nil {
 			s.finish(j, nil, err)
 			continue
 		}
-		ok = append(ok, j)
-		arts = append(arts, a)
+		jobs = append(jobs, j)
+		ms = append(ms, newMember(j.ID, j.Spec, a))
 	}
-	if len(ok) == 0 {
-		return nil
-	}
-	if len(ok) == 1 {
-		return ok // degenerate batch: plain solo path
+	if len(ms) == 0 {
+		return
 	}
 
-	a := arts[0]
-	variants := make([]core.Variant, 0, len(ok))
-	for _, j := range ok {
-		if j.Spec.Sweep != nil {
-			variants = append(variants, artifact.SweepVariants(j.Spec.Sweep)...)
-		} else {
-			variants = append(variants, core.Variant{})
+	fused := len(ms) > 1
+	if fused {
+		for _, j := range jobs {
+			j.setFused(len(ms))
 		}
+	}
+	elapsed, err := runPass(ctx, ms, false)
+	if err != nil && fused {
+		for i, j := range jobs {
+			j.clearFused()
+			soloElapsed, soloErr := runPass(j.ctx, ms[i:i+1], false)
+			s.finishMember(j, ms[i], soloElapsed, soloErr)
+		}
+		return
+	}
+	if fused {
+		s.metrics.fusedBatches.Add(1)
+		s.metrics.fusedJobs.Add(int64(len(ms)))
+	}
+	for i, j := range jobs {
+		if fused && j.Tenant != "" {
+			s.metrics.tenantCounters(j.Tenant).fused.Add(1)
+		}
+		s.finishMember(j, ms[i], elapsed, err)
+	}
+}
+
+// finishMember renders and finishes one member after its pass. A
+// member cancelled mid-pass reaches the terminal state of a run whose
+// pipeline unwound; like any failed run's, its sinks are abandoned to
+// the GC rather than repooled — a straggling pipeline worker may still
+// hold references.
+func (s *scheduler) finishMember(j *Job, m *member, elapsed time.Duration, err error) {
+	if err == nil {
+		err = j.ctx.Err()
+	}
+	var res *JobResult
+	if err == nil {
+		res, err = m.render(elapsed)
+	}
+	s.finish(j, res, err)
+}
+
+// member is one job's seat in a local pass: its prepared artifacts, its
+// window of the pass's variant list and, once runPass built them, one
+// sink stack per variant.
+type member struct {
+	id string
+	js *spec.Job
+	a  *jobArtifacts
+
+	// variants is what the job contributes to the compiled variant
+	// list: the one empty delta for a plain job, the requested variants
+	// for a sweep.
+	variants []core.Variant
+
+	sets  []*sinkSet
+	fulls []*core.FullYLT // nil entries unless the YLT is materialised
+}
+
+func newMember(id string, js *spec.Job, a *jobArtifacts) *member {
+	m := &member{id: id, js: js, a: a, variants: []core.Variant{{}}}
+	if js.Sweep != nil {
+		m.variants = artifact.SweepVariants(js.Sweep)
+	}
+	return m
+}
+
+// runPass prices the members in one gather pass over their shared
+// artifacts: the concatenated variant windows compile against the
+// cached engine, each variant gets its owner's sink stack, and progress
+// fans out to every member — each job's trial counter, SSE stream and
+// status advance as if it ran the pass alone (it shares the trial
+// range, so the counts are identical). keepYLT materialises every
+// variant's YLT unpooled for a caller that reads it after render.
+func runPass(ctx context.Context, ms []*member, keepYLT bool) (time.Duration, error) {
+	a := ms[0].a
+	var variants []core.Variant
+	for _, m := range ms {
+		variants = append(variants, m.variants...)
 	}
 	sweep, err := a.art.Eng.CompileSweep(a.art.P.P, variants)
 	if err != nil {
-		return ok // solo fallback surfaces any real spec error per job
+		return 0, err
 	}
 
-	runs := make([]memberRun, len(ok))
-	groups := make([][]core.Sink, len(ok))
-	for i, j := range ok {
-		n := j.variants
-		mr := memberRun{sets: make([]*sinkSet, n), fulls: make([]*core.FullYLT, n)}
-		g := make([]core.Sink, n)
+	groups := make([][]core.Sink, len(ms))
+	for i, m := range ms {
+		n := len(m.variants)
+		m.sets, m.fulls = make([]*sinkSet, n), make([]*core.FullYLT, n)
+		groups[i] = make([]core.Sink, n)
 		for k := 0; k < n; k++ {
-			set, full, sinks := jobSinks(j.Spec)
-			mr.sets[k], mr.fulls[k], g[k] = set, full, sinks
+			m.sets[k], m.fulls[k], groups[i][k] = jobSinks(m.js, keepYLT)
 		}
-		runs[i], groups[i] = mr, g
 	}
-	demux, offsets := core.NewVariantSinksGrouped(groups...)
+	demux, _ := core.NewVariantSinksGrouped(groups...)
 
-	// Progress fans out to every member: each job's trial counter, SSE
-	// stream and status advance as if it ran the pass alone (it shares
-	// the trial range, so the counts are identical).
-	hooks := make([]func(int, int), len(ok))
-	for i, j := range ok {
-		hooks[i] = j.progress()
-	}
 	opt := a.opt
 	opt.Progress = func(done, total int) {
-		for _, h := range hooks {
-			h(done, total)
+		for _, m := range ms {
+			if hook := m.a.opt.Progress; hook != nil {
+				hook(done, total)
+			}
 		}
-	}
-
-	for _, j := range ok {
-		j.setFused(len(ok))
 	}
 	start := time.Now()
-	if _, err := sweep.RunPipelineContext(ctx, core.NewTableSource(a.table), demux, opt); err != nil {
-		// Like a solo failure, the in-flight sinks are abandoned to the
-		// GC rather than repooled — a straggling pipeline worker may
-		// still hold references.
-		for _, j := range ok {
-			j.clearFused()
-		}
-		return ok
-	}
-	elapsed := time.Since(start)
+	_, err = sweep.RunPipelineContext(ctx, core.NewTableSource(a.table), demux, opt)
+	return time.Since(start), err
+}
 
-	s.metrics.fusedBatches.Add(1)
-	s.metrics.fusedJobs.Add(int64(len(ok)))
-	compiled := sweep.Variants()
-	for i, j := range ok {
-		if j.Tenant != "" {
-			s.metrics.tenantCounters(j.Tenant).fused.Add(1)
-		}
-		if err := j.ctx.Err(); err != nil {
-			// Cancelled mid-pass: terminal state exactly as a solo run
-			// whose pipeline unwound; its sinks are abandoned.
-			s.finish(j, nil, err)
-			continue
-		}
-		window := compiled[offsets[i] : offsets[i]+j.variants]
-		res, err := assembleFusedResult(j, arts[i], window, runs[i], elapsed)
-		s.finish(j, res, err)
+// render emits the member's wire result from its sinks and returns
+// them to their pools: Layers carries variant 0 always — for a sweep,
+// the view closest to the plain job, so clients that do not know about
+// sweeps still read a coherent result — and Variants only for sweep
+// specs. Quotes are priced per variant from that variant's materialised
+// YLT under the variant's effective occurrence limit, exactly when
+// requested.
+func (m *member) render(elapsed time.Duration) (*JobResult, error) {
+	js := m.js
+	res := &JobResult{
+		ID:           m.id,
+		Trials:       js.YET.Trials,
+		ElapsedMS:    elapsed.Milliseconds(),
+		YETCached:    m.a.yetHit,
+		EngineCached: m.a.engineHit,
 	}
-	return nil
+	for k, v := range m.variants {
+		set, full := m.sets[k], m.fulls[k]
+		var fullRes *core.Result
+		if js.Metrics.Quotes {
+			fullRes = full.Result()
+		}
+		layers, err := layerResults(js, m.a.art.P.P, v, set.sum, set.ep, fullRes)
+		if err != nil {
+			if js.Sweep != nil {
+				err = fmt.Errorf("variant %d (%s): %w", k, v.Name, err)
+			}
+			return nil, err
+		}
+		if full != nil {
+			full.Release() // quotes are priced; a pooled YLT slab goes back
+		}
+		set.release()
+		if k == 0 {
+			res.Layers = layers
+		}
+		if js.Sweep != nil {
+			res.Variants = append(res.Variants, VariantResult{Index: k, Name: v.Name, Layers: layers})
+		}
+	}
+	return res, nil
 }
 
 // setFused publishes that the job is running in (and, at terminal,
@@ -215,54 +282,4 @@ func (j *Job) clearFused() {
 	j.fused = false
 	j.fusedBatch = 0
 	j.mu.Unlock()
-}
-
-// assembleFusedResult renders one member's result from its demuxed
-// sinks — byte-for-byte the member's solo rendering: plain jobs go
-// through assembleJobResult, sweep jobs through the per-variant loop,
-// with cache flags from the member's own prepare.
-func assembleFusedResult(j *Job, a *jobArtifacts, variants []core.Variant, mr memberRun, elapsed time.Duration) (*JobResult, error) {
-	js := j.Spec
-	if js.Sweep == nil {
-		set, full := mr.sets[0], mr.fulls[0]
-		var fullRes *core.Result
-		if full != nil {
-			fullRes = full.Result()
-		}
-		res, err := assembleJobResult(j.ID, js, a.art.P.P, set.sum, set.ep, fullRes, elapsed)
-		if err != nil {
-			return nil, err
-		}
-		if full != nil {
-			full.Release()
-		}
-		set.release()
-		res.YETCached = a.yetHit
-		res.EngineCached = a.engineHit
-		return res, nil
-	}
-	res := &JobResult{
-		ID:           j.ID,
-		Trials:       js.YET.Trials,
-		ElapsedMS:    elapsed.Milliseconds(),
-		YETCached:    a.yetHit,
-		EngineCached: a.engineHit,
-	}
-	for k, v := range variants {
-		var fullRes *core.Result
-		if mr.fulls[k] != nil {
-			fullRes = mr.fulls[k].Result()
-		}
-		layers, err := layerResults(js, a.art.P.P, v, mr.sets[k].sum, mr.sets[k].ep, fullRes)
-		if err != nil {
-			return nil, fmt.Errorf("variant %d (%s): %w", k, v.Name, err)
-		}
-		if mr.fulls[k] != nil {
-			mr.fulls[k].Release()
-		}
-		mr.sets[k].release()
-		res.Variants = append(res.Variants, VariantResult{Index: k, Name: v.Name, Layers: layers})
-	}
-	res.Layers = res.Variants[0].Layers
-	return res, nil
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ralab/are/internal/artifact"
 	"github.com/ralab/are/internal/spec"
 	"github.com/ralab/are/internal/tenant"
 )
@@ -63,8 +64,9 @@ func blockerBody() string {
 // TestFusedBitwiseVsSolo is the fusion oracle: for every lookup kind,
 // a burst of one plain, one quoted and one sweep job fused into a
 // single pass must produce results bitwise-identical to the same specs
-// run solo (fusion disabled), and only the fused server may report the
-// jobs as fused.
+// run solo (fusion disabled), only the fused server may report the
+// jobs as fused, and the solo runs — batches of one — must in turn be
+// bitwise-identical to RunLocal.
 func TestFusedBitwiseVsSolo(t *testing.T) {
 	const sweep = `{"variants": [
 	  {"name": "base"},
@@ -105,8 +107,18 @@ func TestFusedBitwiseVsSolo(t *testing.T) {
 				t.Fatalf("incompatible blocker reported fused")
 			}
 
+			// Batch of one: with fusion disabled every job is a batch of
+			// one through the same path. The fused results above must
+			// match it, and it must match RunLocal — the batch of one
+			// with the YLT kept — for a plain, a quoted, a sweep and
+			// (where the lookup can sample) a sampled job.
+			ones := bodies
+			if lookup != "combined" {
+				ones = append(ones, sampledJobBody("sampled", 7, lookup))
+			}
+			cache := artifact.NewCache(8)
 			_, soloTS := testServer(t, Config{JobWorkers: 1, FuseWait: -1})
-			for i, b := range bodies {
+			for i, b := range ones {
 				st, _ := postJob(t, soloTS, b)
 				if got := waitState(t, soloTS, st.ID, JobDone, JobFailed); got.State != string(JobDone) {
 					t.Fatalf("solo job %s: %s (%s)", st.ID, got.State, got.Error)
@@ -114,6 +126,20 @@ func TestFusedBitwiseVsSolo(t *testing.T) {
 					t.Fatalf("solo job %s reported fused", st.ID)
 				}
 				solo, _ := getResult(t, soloTS, st.ID)
+				js, err := spec.ParseJob(strings.NewReader(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				local, _, err := RunLocal(context.Background(), cache, js)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(solo.Layers, local.Layers) || !reflect.DeepEqual(solo.Variants, local.Variants) {
+					t.Fatalf("job %d (%s): batch of one differs from RunLocal", i, lookup)
+				}
+				if i >= len(fused) {
+					continue
+				}
 				if fused[i].Trials != solo.Trials {
 					t.Fatalf("job %d: trials %d vs %d", i, fused[i].Trials, solo.Trials)
 				}
@@ -342,6 +368,38 @@ func TestFusedCancelledQueuedMember(t *testing.T) {
 	}
 	if res, resp := getResult(t, ts, b.ID); res != nil || resp.StatusCode != http.StatusGone {
 		t.Fatalf("cancelled member result: %v (%d)", res, resp.StatusCode)
+	}
+}
+
+// TestBatchPreparesEachMemberOnce: tenant cache accounting is charged
+// once per job however its batch shrinks. Two started members, one
+// whose context is already cancelled: the survivor runs on as a batch
+// of one over the artifacts it already prepared, so its tenant reads
+// exactly two artifact lookups (engine + YET) and one walk of the
+// table's bytes.
+func TestBatchPreparesEachMemberOnce(t *testing.T) {
+	const trials, events = 200, 10
+	s := plannerScheduler(t, time.Millisecond)
+	s.cache = artifact.NewCache(8)
+	body := fusionJobBody("direct", 3, trials, events, false, "")
+	survivor, dead := queueBody(t, s, body), queueBody(t, s, body)
+	survivor.Tenant, dead.Tenant = "alpha", "beta"
+	dead.cancel() // context only: still queued, so start() admits it
+
+	s.runBatch(s.nextBatch())
+
+	if st := survivor.Status(); st.State != string(JobDone) || st.Fused {
+		t.Fatalf("survivor: state %s fused=%v (%s), want an unfused done job", st.State, st.Fused, st.Error)
+	}
+	if st := dead.Status(); st.State != string(JobCancelled) {
+		t.Fatalf("cancelled member: state %s, want cancelled", st.State)
+	}
+	tc := s.metrics.tenantCounters("alpha")
+	if n := tc.cacheHits.Load() + tc.cacheMiss.Load(); n != 2 {
+		t.Fatalf("survivor's tenant charged %d artifact lookups, want 2", n)
+	}
+	if got, want := tc.cacheBytes.Load(), int64(12*trials*events); got != want {
+		t.Fatalf("survivor's tenant charged %d table bytes, want %d", got, want)
 	}
 }
 

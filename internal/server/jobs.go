@@ -737,21 +737,6 @@ func (s *scheduler) start(j *Job) bool {
 	return true
 }
 
-// executeJob dispatches one started job to its execution path: cluster
-// fan-out in the coordinator role, fused sweep pass for sweep specs,
-// plain pipeline otherwise. Also the solo fallback when a fused pass
-// declines.
-func (s *scheduler) executeJob(j *Job) (*JobResult, error) {
-	switch {
-	case s.coord != nil:
-		return s.executeDistributed(j)
-	case j.Spec.Sweep != nil:
-		return s.executeSweep(j)
-	default:
-		return s.execute(j)
-	}
-}
-
 // finish journals and publishes a started job's terminal state. Every
 // job that passed start() must reach finish exactly once — that pairs
 // the jobsRunning gauge and releases the tenant's quota slot exactly
@@ -815,10 +800,9 @@ func (s *scheduler) finish(j *Job, res *JobResult, err error) {
 	s.metrics.jobsRunning.Add(-1)
 }
 
-// jobArtifacts is the shared prelude of the local execution paths: the
-// cached compile/generation products plus the engine options a job
-// runs under. One builder keeps plain and sweep jobs identical in
-// everything but the pass they run.
+// jobArtifacts is the prelude of the local execution path: the cached
+// compile/generation products plus the engine options a job runs
+// under.
 type jobArtifacts struct {
 	art               *artifact.Engine
 	table             *yet.Table
@@ -850,7 +834,7 @@ func (s *scheduler) prepare(j *Job) (*jobArtifacts, error) {
 }
 
 // prepareLocal is the scheduler-independent artifact prelude shared by
-// the scheduler paths and RunLocal. The leading ctx check runs before
+// the scheduler and RunLocal. The leading ctx check runs before
 // any artifact build: the cache builds are not ctx-aware, and a
 // force-cancelled shutdown must not pay for engine compilation or YET
 // generation of jobs it is abandoning; the trailing check keeps a
@@ -910,118 +894,25 @@ var sinkSetPool = sync.Pool{New: func() any {
 func (ss *sinkSet) release() { sinkSetPool.Put(ss) }
 
 // jobSinks builds one job-shaped sink stack: pooled online moments +
-// EP always, a materialising sink only when quotes were requested.
-// Both pieces are pool-backed and live exactly from the run to result
-// assembly, so each caller must release them once the result is built.
-func jobSinks(js *spec.Job) (*sinkSet, *core.FullYLT, core.MultiSink) {
+// EP always, a materialising sink only when quotes were requested or
+// the caller keeps the YLT. The pool-backed pieces live exactly from
+// the run to result rendering, so each caller must release them once
+// the result is built; a kept YLT is unpooled because it outlives that.
+func jobSinks(js *spec.Job, keepYLT bool) (*sinkSet, *core.FullYLT, core.MultiSink) {
 	set := sinkSetPool.Get().(*sinkSet)
 	set.ep.Rearm(js.Metrics.ReturnPeriods)
 	sinks := core.MultiSink{set.sum, set.ep}
 	var full *core.FullYLT
-	if js.Metrics.Quotes {
+	switch {
+	case keepYLT:
+		full = core.NewFullYLT()
+	case js.Metrics.Quotes:
 		full = core.NewPooledYLT()
+	}
+	if full != nil {
 		sinks = append(sinks, full)
 	}
 	return set, full, sinks
-}
-
-func (s *scheduler) execute(j *Job) (*JobResult, error) {
-	js := j.Spec
-	a, err := s.prepare(j)
-	if err != nil {
-		return nil, err
-	}
-	set, full, sinks := jobSinks(js)
-
-	start := time.Now()
-	if _, err := a.art.Eng.RunPipelineContext(j.ctx, core.NewTableSource(a.table), sinks, a.opt); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	var fullRes *core.Result
-	if full != nil {
-		fullRes = full.Result()
-	}
-	res, err := assembleJobResult(j.ID, js, a.art.P.P, set.sum, set.ep, fullRes, elapsed)
-	if err != nil {
-		return nil, err
-	}
-	if full != nil {
-		full.Release() // quotes are priced; the YLT slab goes back to the pool
-	}
-	set.release()
-	res.YETCached = a.yetHit
-	res.EngineCached = a.engineHit
-	return res, nil
-}
-
-// executeSweep runs a scenario-sweep job: the base engine and YET come
-// from the shared artifact cache exactly as for a plain job (sweep jobs
-// with the same base portfolio are cache hits), the variant set is
-// compiled against the cached engine, and one fused pass feeds a
-// per-variant sink stack through VariantSinks. Every variant gets the
-// plain job's metric set; quotes, when requested, are priced per
-// variant from that variant's materialised YLT under the variant's
-// effective occurrence limit.
-func (s *scheduler) executeSweep(j *Job) (*JobResult, error) {
-	a, err := s.prepare(j)
-	if err != nil {
-		return nil, err
-	}
-	return runSweepLocal(j.ID, j.ctx, j.Spec, a)
-}
-
-// runSweepLocal is the sweep pass proper, shared by the scheduler and
-// RunLocal — one fused pipeline run over prepared artifacts, rendered
-// per variant.
-func runSweepLocal(id string, ctx context.Context, js *spec.Job, a *jobArtifacts) (*JobResult, error) {
-	sweep, err := a.art.Eng.CompileSweep(a.art.P.P, artifact.SweepVariants(js.Sweep))
-	if err != nil {
-		return nil, err
-	}
-
-	numK := sweep.NumVariants()
-	sets := make([]*sinkSet, numK)
-	fulls := make([]*core.FullYLT, numK)
-	members := make([]core.Sink, numK)
-	for k := 0; k < numK; k++ {
-		set, full, sinks := jobSinks(js)
-		sets[k], fulls[k], members[k] = set, full, sinks
-	}
-
-	start := time.Now()
-	if _, err := sweep.RunPipelineContext(ctx, core.NewTableSource(a.table), core.NewVariantSinks(members...), a.opt); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	res := &JobResult{
-		ID:           id,
-		Trials:       js.YET.Trials,
-		ElapsedMS:    elapsed.Milliseconds(),
-		YETCached:    a.yetHit,
-		EngineCached: a.engineHit,
-	}
-	for k, v := range sweep.Variants() {
-		var fullRes *core.Result
-		if fulls[k] != nil {
-			fullRes = fulls[k].Result()
-		}
-		layers, err := layerResults(js, a.art.P.P, v, sets[k].sum, sets[k].ep, fullRes)
-		if err != nil {
-			return nil, fmt.Errorf("variant %d (%s): %w", k, v.Name, err)
-		}
-		if fulls[k] != nil {
-			fulls[k].Release()
-		}
-		sets[k].release()
-		res.Variants = append(res.Variants, VariantResult{Index: k, Name: v.Name, Layers: layers})
-	}
-	// Keep the plain-job view pointing at variant 0 so clients that do
-	// not know about sweeps still read a coherent result.
-	res.Layers = res.Variants[0].Layers
-	return res, nil
 }
 
 // executeDistributed fans the job out across the registered workers and
@@ -1061,14 +952,19 @@ func (s *scheduler) executeDistributed(j *Job) (*JobResult, error) {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	res, err := assembleJobResult(j.ID, js, p.P, m.Summary, m.EP, m.Result, elapsed)
+	layers, err := layerResults(js, p.P, core.Variant{}, m.Summary, m.EP, m.Result)
 	if err != nil {
 		return nil, err
 	}
-	res.Shards = m.Shards
-	res.Retried = m.Retried
-	res.WorkersUsed = m.WorkersUsed
-	return res, nil
+	return &JobResult{
+		ID:          j.ID,
+		Trials:      js.YET.Trials,
+		ElapsedMS:   elapsed.Milliseconds(),
+		Shards:      m.Shards,
+		Retried:     m.Retried,
+		WorkersUsed: m.WorkersUsed,
+		Layers:      layers,
+	}, nil
 }
 
 // progress returns the job's trial-progress hook. Reports may arrive
@@ -1088,29 +984,13 @@ func (j *Job) progress() func(done, total int) {
 	}
 }
 
-// assembleJobResult renders merged sink output as the wire result —
-// one code path whether the sinks were fed by a local pipeline or
-// reassembled from cluster shards.
-func assembleJobResult(id string, js *spec.Job, p *layer.Portfolio, sum *metrics.SummarySink, ep *metrics.EPSink, full *core.Result, elapsed time.Duration) (*JobResult, error) {
-	layers, err := layerResults(js, p, core.Variant{}, sum, ep, full)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{
-		ID:        id,
-		Trials:    js.YET.Trials,
-		ElapsedMS: elapsed.Milliseconds(),
-		Layers:    layers,
-	}, nil
-}
-
-// RunLocal executes one validated job spec in-process through the same
-// single-node code path the scheduler runs — shared artifact cache,
-// fused sweep execution for sweep specs, quotes priced from the
-// materialised YLT — and, for plain jobs, additionally returns the
-// materialised per-layer tables. It exists for oracles: the chaos
-// harness replays every completed cluster job through RunLocal and
-// holds the service's wire results to this output (bitwise for
+// RunLocal executes one validated job spec in-process through the
+// scheduler's local execution path — shared artifact cache, one
+// compiled-variant pass, quotes priced from the materialised YLT — as a
+// batch of one with the YLT kept: for plain jobs it additionally
+// returns the materialised per-layer tables. It exists for oracles: the
+// chaos harness replays every completed cluster job through RunLocal
+// and holds the service's wire results to this output (bitwise for
 // single-node jobs, within the documented merge tolerances for
 // distributed ones, with the returned Result supplying the exact
 // empirical quantiles behind the EP rank windows). The Result is nil
@@ -1120,32 +1000,26 @@ func RunLocal(ctx context.Context, cache *artifact.Cache, js *spec.Job) (*JobRes
 	if err != nil {
 		return nil, nil, err
 	}
-	if js.Sweep != nil {
-		res, err := runSweepLocal("oracle", ctx, js, a)
-		return res, nil, err
-	}
-	sum := metrics.NewSummarySink()
-	ep := metrics.NewEPSink(js.Metrics.ReturnPeriods)
-	full := core.NewFullYLT()
-	start := time.Now()
-	if _, err := a.art.Eng.RunPipelineContext(ctx, core.NewTableSource(a.table), core.MultiSink{sum, ep, full}, a.opt); err != nil {
-		return nil, nil, err
-	}
-	fullRes := full.Result()
-	var quoteRes *core.Result
-	if js.Metrics.Quotes {
-		quoteRes = fullRes // Quote fields appear exactly when requested, as served
-	}
-	res, err := assembleJobResult("oracle", js, a.art.P.P, sum, ep, quoteRes, time.Since(start))
+	m := newMember("oracle", js, a)
+	keepYLT := js.Sweep == nil
+	elapsed, err := runPass(ctx, []*member{m}, keepYLT)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.YETCached, res.EngineCached = a.yetHit, a.engineHit
-	return res, fullRes, nil
+	var full *core.Result
+	if keepYLT {
+		full = m.fulls[0].Result() // read before render releases the sink
+	}
+	res, err := m.render(elapsed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, full, nil
 }
 
-// layerResults renders one sink stack's per-layer metrics. v supplies
-// the effective layer terms (sweep variants override attachments and
+// layerResults renders one sink stack's per-layer metrics — fed by a
+// local pass or reassembled from cluster shards alike. v supplies the
+// effective layer terms (sweep variants override attachments and
 // limits, so quotes must price against the variant's occurrence limit,
 // not the base portfolio's); plain jobs pass the zero Variant.
 func layerResults(js *spec.Job, p *layer.Portfolio, v core.Variant, sum *metrics.SummarySink, ep *metrics.EPSink, full *core.Result) ([]LayerResult, error) {

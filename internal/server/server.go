@@ -9,7 +9,8 @@
 // risk — and this package is that operational shell. Clients POST
 // analysis jobs (an inline portfolio spec, a Year Event Table spec, and
 // the metrics wanted back) to a JSON API; a bounded worker pool runs
-// each job through Engine.RunPipeline with the online metric sinks; job
+// each batch of compatible jobs through one engine pass with the online
+// metric sinks (a lone job is the batch of one; see fused.go); job
 // status (including live trial-level progress), results, cancellation,
 // health and Prometheus-style metrics are all HTTP resources.
 //
