@@ -150,8 +150,6 @@ type (
 	YETConfig = yet.Config
 	// EventSource supplies event draws for YET generation.
 	EventSource = yet.EventSource
-	// Occurrence is one (event, timestamp) pair in a trial.
-	Occurrence = yet.Occurrence
 
 	// Engine is a compiled portfolio ready to run against YETs.
 	Engine = core.Engine

@@ -443,7 +443,7 @@ func TestFacadeRunContext(t *testing.T) {
 // TestFacadeStreamingSinks is the bounded-memory contract at the public
 // surface: a streamed run into online sinks matches Summarise and
 // NewEPCurve on the materialised YLT within the documented tolerances
-// (moments to floating-point association, PML to P² sketch accuracy).
+// (moments to floating-point association, PML to quantile-sketch accuracy).
 func TestFacadeStreamingSinks(t *testing.T) {
 	const catalogSize = 50_000
 	p, err := are.GeneratePortfolio(are.PortfolioConfig{
@@ -507,7 +507,7 @@ func TestFacadeStreamingSinks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Documented P² tolerance, scaled by the layer's loss
+			// Documented sketch tolerance, scaled by the layer's loss
 			// range to absorb quantiles sitting on the YLT's zero mass.
 			tol := 0.05*math.Abs(want) + 0.05*got.Max/100
 			if pt.ReturnPeriod >= 250 {

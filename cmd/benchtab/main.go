@@ -13,7 +13,8 @@
 //
 // Measured columns run the Go engines on this machine at -scale times the
 // paper's trial counts; model columns evaluate the calibrated i7-2600 /
-// Tesla C2075 cost models at full paper size (see DESIGN.md §4).
+// Tesla C2075 cost models at full paper size (see the internal/gpusim
+// package doc).
 package main
 
 import (

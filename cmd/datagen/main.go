@@ -7,7 +7,9 @@
 //	datagen -out yet.bin -trials 100000 -mean-events 1000
 //	datagen -out yet.bin -trials 50000 -catalog 2000000 -weighted
 //
-// The output can be loaded by cmd/are or through are.ReadYET.
+// The output can be loaded by cmd/are or through are.ReadYET. Files
+// written by older releases (YET format versions 1 and 2) are rejected
+// on load; regenerate them with the same flags.
 package main
 
 import (

@@ -3,6 +3,7 @@ package artifact
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -84,11 +85,8 @@ func TestShardForMatchesTableFor(t *testing.T) {
 			shard.NumTrials(), shard.NumOccurrences(), want.NumTrials(), want.NumOccurrences())
 	}
 	for i := 0; i < shard.NumTrials(); i++ {
-		got, exp := shard.Trial(i), want.Trial(i)
-		for j := range got {
-			if got[j] != exp[j] {
-				t.Fatalf("trial %d occ %d: %+v != %+v", i, j, got[j], exp[j])
-			}
+		if got, exp := shard.TrialEvents(i), want.TrialEvents(i); !slices.Equal(got, exp) {
+			t.Fatalf("trial %d: %v != %v", i, got, exp)
 		}
 	}
 	// Same range again: a cache hit, same object.

@@ -7,13 +7,16 @@ package artifact
 // bitwise-identical Year Loss Tables (run under -race in CI).
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/ralab/are/internal/core"
+	"github.com/ralab/are/internal/yet"
 )
 
 func spillCache(t *testing.T, entries int) (*Cache, string) {
@@ -58,12 +61,8 @@ func TestSpillServesSharedViews(t *testing.T) {
 			t.Fatalf("shard [%d,%d) shape mismatch", r[0], r[1])
 		}
 		for i := 0; i < shard.NumTrials(); i++ {
-			ge, we := shard.TrialEvents(i), want.TrialEvents(i)
-			gt, wt := shard.TrialTimes(i), want.TrialTimes(i)
-			for j := range we {
-				if ge[j] != we[j] || math.Float64bits(gt[j]) != math.Float64bits(wt[j]) {
-					t.Fatalf("shard [%d,%d) trial %d occ %d differs", r[0], r[1], i, j)
-				}
+			if !slices.Equal(shard.TrialEvents(i), want.TrialEvents(i)) {
+				t.Fatalf("shard [%d,%d) trial %d differs", r[0], r[1], i)
 			}
 		}
 	}
@@ -118,6 +117,64 @@ func TestSpillWarmRestart(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpillUpgradesOldVersion: a spill file an earlier release left
+// under the same content-hash name carries an older format version. A
+// fresh cache must not fail the job on it: it regenerates the table,
+// atomically overwrites the file in the current version, and serves
+// the generated events.
+func TestSpillUpgradesOldVersion(t *testing.T) {
+	c1, dir := spillCache(t, 8)
+	js := testJob(t, 14, 200)
+	if _, _, err := TableFor(c1, js); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.yet"))
+	if len(files) != 1 {
+		t.Fatalf("spill dir holds %d files, want 1", len(files))
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:8], 2)
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := NewCache(8)
+	if err := c2.SetSpillDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := TableFor(c2, js)
+	if err != nil {
+		t.Fatalf("old spill file failed the job: %v", err)
+	}
+	want, err := yet.Generate(yet.UniformSource(js.Portfolio.CatalogSize), js.YET.ToConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumTrials() != want.NumTrials() {
+		t.Fatalf("served %d trials, want %d", got.NumTrials(), want.NumTrials())
+	}
+	for i := 0; i < want.NumTrials(); i++ {
+		if !slices.Equal(got.TrialEvents(i), want.TrialEvents(i)) {
+			t.Fatalf("trial %d differs from Generate", i)
+		}
+	}
+	data, err = os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != 3 {
+		t.Fatalf("spill file version = %d after upgrade, want 3", v)
+	}
+	m, err := yet.Map(files[0])
+	if err != nil {
+		t.Fatalf("upgraded spill file does not map: %v", err)
+	}
+	m.Close()
 }
 
 // TestSpillUnwritableFallsBack: a hostile spill dir degrades to the

@@ -168,27 +168,6 @@ func TestColumnarKernelsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestColumnarRowViewAgreesWithColumns pins the two read paths of the
-// SoA table against each other: the materialised row view (Trial) must
-// carry exactly the column contents (TrialEvents/TrialTimes) the
-// kernels consume.
-func TestColumnarRowViewAgreesWithColumns(t *testing.T) {
-	y := columnarYET(t)
-	for i := 0; i < y.NumTrials(); i++ {
-		row := y.Trial(i)
-		evs, tms := y.TrialEvents(i), y.TrialTimes(i)
-		if len(row) != len(evs) || len(row) != len(tms) || len(row) != y.TrialLen(i) {
-			t.Fatalf("trial %d: view lengths disagree", i)
-		}
-		for j := range row {
-			if uint32(row[j].Event) != evs[j] || row[j].Time != tms[j] {
-				t.Fatalf("trial %d occ %d: row view %+v != columns (%d, %v)",
-					i, j, row[j], evs[j], tms[j])
-			}
-		}
-	}
-}
-
 // TestEmitBatchSpansTileExactly runs the pipeline into a counting sink
 // and checks every (layer, trial) cell arrives exactly once through
 // the batched path, matching the materialised result bitwise.

@@ -268,7 +268,7 @@ func TestEmptyTrialsYieldZero(t *testing.T) {
 	res := run(t, p, y, Options{Workers: 1})
 	sawEmpty := false
 	for tr := 0; tr < y.NumTrials(); tr++ {
-		if len(y.Trial(tr)) == 0 {
+		if y.TrialLen(tr) == 0 {
 			sawEmpty = true
 			if res.AggLoss[0][tr] != 0 || res.MaxOccLoss[0][tr] != 0 {
 				t.Fatalf("empty trial %d has nonzero loss", tr)

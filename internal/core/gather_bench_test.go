@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/ralab/are/internal/catalog"
 	"github.com/ralab/are/internal/elt"
 	"github.com/ralab/are/internal/financial"
 	"github.com/ralab/are/internal/layer"
@@ -80,10 +81,32 @@ func buildSeedLayer(b *testing.B, l *layer.Layer, kind LookupKind) *seedLayer {
 	return sl
 }
 
+// seedOccurrence is the seed's 16-byte AoS occurrence record, kept so
+// the seed-aos anchor streams the seed's bytes per occurrence (its Time
+// is never read).
+type seedOccurrence struct {
+	Event catalog.EventID
+	_     uint32
+	Time  float64
+}
+
+// seedTrialsAoS materialises y as the seed's AoS trial views.
+func seedTrialsAoS(y *yet.Table) [][]seedOccurrence {
+	trials := make([][]seedOccurrence, y.NumTrials())
+	for i := range trials {
+		evs := y.TrialEvents(i)
+		trials[i] = make([]seedOccurrence, len(evs))
+		for j, ev := range evs {
+			trials[i][j].Event = catalog.EventID(ev)
+		}
+	}
+	return trials
+}
+
 // seedTrialBasic is the seed's basic kernel verbatim: AoS occurrence
 // records, one Lookup.Loss dynamic dispatch (or dense indexed read) and
 // one Terms.Apply branch cascade per occurrence per ELT.
-func seedTrialBasic(sl *seedLayer, lox []float64, trial []yet.Occurrence) (aggLoss, maxOcc float64) {
+func seedTrialBasic(sl *seedLayer, lox []float64, trial []seedOccurrence) (aggLoss, maxOcc float64) {
 	n := len(trial)
 	if n == 0 {
 		return 0, 0
@@ -147,10 +170,7 @@ func BenchmarkGatherKernels(b *testing.B) {
 	totalOcc := float64(y.NumOccurrences())
 
 	// AoS trial views for the baseline, materialised outside timing.
-	trialsAoS := make([][]yet.Occurrence, y.NumTrials())
-	for i := range trialsAoS {
-		trialsAoS[i] = y.Trial(i)
-	}
+	trialsAoS := seedTrialsAoS(y)
 
 	var rows []gatherBenchRow
 	record := func(kernel, lookup string, fn func(b *testing.B)) {

@@ -50,11 +50,11 @@ func Reference(p *layer.Portfolio, y *yet.Table, catalogSize int) (*Result, erro
 
 		// for all b in YET
 		for ti := 0; ti < nt; ti++ {
-			trial := y.Trial(ti)
+			trial := y.TrialEvents(ti)
 			n := len(trial)
-			for _, occ := range trial {
-				if int(occ.Event) >= catalogSize {
-					return nil, fmt.Errorf("%w: event %d, catalog %d", ErrEventOutside, occ.Event, catalogSize)
+			for _, ev := range trial {
+				if int(ev) >= catalogSize {
+					return nil, fmt.Errorf("%w: event %d, catalog %d", ErrEventOutside, ev, catalogSize)
 				}
 			}
 
@@ -63,7 +63,7 @@ func Reference(p *layer.Portfolio, y *yet.Table, catalogSize int) (*Result, erro
 			for e := range x {
 				x[e] = make([]float64, n)
 				for d := 0; d < n; d++ {
-					x[e][d] = maps[e][trial[d].Event]
+					x[e][d] = maps[e][catalog.EventID(trial[d])]
 				}
 			}
 
@@ -178,11 +178,11 @@ func ReferenceSampled(p *layer.Portfolio, y *yet.Table, catalogSize int, seed ui
 		}
 
 		for ti := 0; ti < nt; ti++ {
-			trial := y.Trial(ti)
+			trial := y.TrialEvents(ti)
 			n := len(trial)
-			for _, occ := range trial {
-				if int(occ.Event) >= catalogSize {
-					return nil, fmt.Errorf("%w: event %d, catalog %d", ErrEventOutside, occ.Event, catalogSize)
+			for _, ev := range trial {
+				if int(ev) >= catalogSize {
+					return nil, fmt.Errorf("%w: event %d, catalog %d", ErrEventOutside, ev, catalogSize)
 				}
 			}
 
@@ -193,7 +193,7 @@ func ReferenceSampled(p *layer.Portfolio, y *yet.Table, catalogSize int, seed ui
 			for e := range x {
 				x[e] = make([]float64, n)
 				for d := 0; d < n; d++ {
-					ev := trial[d].Event
+					ev := catalog.EventID(trial[d])
 					mean := means[e][ev]
 					if mean == 0 {
 						continue

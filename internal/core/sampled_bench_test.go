@@ -210,10 +210,7 @@ func BenchmarkSampledGather(b *testing.B) {
 	// Anchor: the seed's AoS mean-only loop, identical to the seed-aos
 	// rows in BenchmarkGatherKernels, so benchdiff can normalise this
 	// table against machine speed.
-	trialsAoS := make([][]yet.Occurrence, y.NumTrials())
-	for i := range trialsAoS {
-		trialsAoS[i] = y.Trial(i)
-	}
+	trialsAoS := seedTrialsAoS(y)
 	sl := buildSeedLayerSized(b, l, sampledBenchCatalog)
 	record("seed-aos", "direct", func(b *testing.B) {
 		for t := range trialsAoS {

@@ -8,7 +8,7 @@ import (
 )
 
 // Figures 4-5: the GPU kernels on the Tesla C2075 model (this machine has
-// no CUDA device; DESIGN.md §4 documents the substitution). Figure 6:
+// no CUDA device; the gpusim package doc describes the model). Figure 6:
 // summary comparison and phase breakdown, combining measured Go engines
 // with the device models.
 

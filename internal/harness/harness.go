@@ -13,7 +13,7 @@
 //   - the calibrated hardware models of package gpusim at full paper
 //     size, which reproduce the multi-core contention and GPU behaviour
 //     of the paper's platforms (this repository substitutes models for
-//     the i7-2600/Tesla C2075 testbed; see DESIGN.md §4).
+//     the i7-2600/Tesla C2075 testbed; see package gpusim's doc).
 package harness
 
 import (
@@ -84,7 +84,7 @@ type Config struct {
 	Seed uint64
 
 	// Scale multiplies the paper's trial counts for the measured runs
-	// (1.0 = full paper size: 1M trials x 1000 events, ~16 GB of YET).
+	// (1.0 = full paper size: 1M trials x 1000 events, ~4 GB of YET).
 	// Default 0.01 (10k trials), which preserves per-trial behaviour.
 	Scale float64
 

@@ -10,8 +10,8 @@
 //     quantiles), AllocateTVaR and DiversificationBenefit for the group
 //     roll-up.
 //   - Streaming, as engine sinks consuming one trial at a time in O(1)
-//     memory per layer: SummarySink (Welford moments) and EPSink (P²
-//     quantile sketches), documented with their accuracy bounds in
+//     memory per layer: SummarySink (Welford moments) and EPSink
+//     (mergeable quantile sketches), documented with their accuracy bounds in
 //     streaming.go. These are what let a run over millions of trials
 //     report AAL and PML without ever holding a Year Loss Table.
 //

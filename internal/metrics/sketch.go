@@ -13,8 +13,8 @@ import (
 // an exact reserve of the k largest observations. Two sketches merge by
 // concatenating their parts and re-compacting — the operation the
 // distributed coordinator relies on to combine per-shard exceedance
-// state, and the property the single-quantile P² estimator it replaces
-// fundamentally lacks.
+// state, and the property a single-quantile P² estimator fundamentally
+// lacks.
 //
 // The tail reserve holds the largest min(n, k) observations exactly, so
 // any quantile whose rank falls in the top k — every PML point with

@@ -21,9 +21,7 @@
 // Both sinks export serialisable state (state.go) that merges exactly
 // (moments) or within the sketch bound (quantiles), which is what lets
 // the distributed coordinator combine per-shard partial results into
-// one curve. The single-quantile P² estimator (PSquare) remains for
-// callers tracking one quantile in truly O(1) memory, but EPSink no
-// longer uses it: P² marker state cannot be merged.
+// one curve.
 package metrics
 
 import (

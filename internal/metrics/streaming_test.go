@@ -92,66 +92,6 @@ func TestOnlineSummaryEmpty(t *testing.T) {
 	}
 }
 
-func TestPSquareRejectsBadQuantile(t *testing.T) {
-	for _, q := range []float64{0, 1, -0.5, 2} {
-		if _, err := NewPSquare(q); err == nil {
-			t.Errorf("q=%v accepted", q)
-		}
-	}
-}
-
-func TestPSquareSmallSamples(t *testing.T) {
-	p, err := NewPSquare(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Quantile() != 0 {
-		t.Fatal("empty sketch should report 0")
-	}
-	p.Add(3)
-	if p.Quantile() != 3 {
-		t.Fatalf("single-sample median = %v", p.Quantile())
-	}
-	p.Add(1)
-	p.Add(2)
-	if got := p.Quantile(); got != 2 {
-		t.Fatalf("3-sample median = %v, want 2", got)
-	}
-}
-
-func TestPSquareTracksQuantiles(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	n := 50_000
-	uniform := make([]float64, n)
-	lognorm := make([]float64, n)
-	for i := 0; i < n; i++ {
-		uniform[i] = r.Float64()
-		lognorm[i] = math.Exp(r.NormFloat64())
-	}
-	for name, data := range map[string][]float64{"uniform": uniform, "lognormal": lognorm} {
-		exact, err := NewEPCurve(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []float64{0.5, 0.9, 0.96, 0.99, 0.996} {
-			p, err := NewPSquare(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range data {
-				p.Add(v)
-			}
-			wantV, err := exact.VaR(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := relErr(p.Quantile(), wantV); e > 0.05 {
-				t.Errorf("%s q=%v: P² %v vs exact %v (rel err %v)", name, q, p.Quantile(), wantV, e)
-			}
-		}
-	}
-}
-
 func TestSummarySinkMatchesPerLayer(t *testing.T) {
 	const layers, trials = 3, 5_000
 	agg := make([][]float64, layers)
@@ -236,7 +176,7 @@ func TestEPSinkMatchesEPCurve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// P² tolerance: tight at short return periods, looser in
+			// Sketch tolerance: tight at short return periods, looser in
 			// the deep tail where the empirical quantile itself is
 			// noisy (documented in the package comment).
 			tol := 0.05

@@ -398,7 +398,7 @@ func TestBatchPreparesEachMemberOnce(t *testing.T) {
 	if n := tc.cacheHits.Load() + tc.cacheMiss.Load(); n != 2 {
 		t.Fatalf("survivor's tenant charged %d artifact lookups, want 2", n)
 	}
-	if got, want := tc.cacheBytes.Load(), int64(12*trials*events); got != want {
+	if got, want := tc.cacheBytes.Load(), int64(4*trials*events); got != want {
 		t.Fatalf("survivor's tenant charged %d table bytes, want %d", got, want)
 	}
 }

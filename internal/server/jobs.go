@@ -649,11 +649,11 @@ func (s *scheduler) shutdown(ctx context.Context) (DrainStats, error) {
 		s.wg.Wait()
 		close(done)
 	}()
-	var err error
+	var expired error
 	select {
 	case <-done:
 	case <-ctx.Done():
-		err = ctx.Err()
+		expired = ctx.Err()
 		s.baseCancel()
 		<-done
 	}
@@ -696,7 +696,13 @@ func (s *scheduler) shutdown(ctx context.Context) (DrainStats, error) {
 		}
 		j.mu.Unlock()
 	}
-	return stats, err
+	// An expired ctx is an unclean drain only if it cut a job short: with
+	// nothing open, the planners merely had not yet observed the closed
+	// intake when the deadline was checked.
+	if stats.ForceCancelled == 0 {
+		expired = nil
+	}
+	return stats, expired
 }
 
 func (s *scheduler) worker() {
@@ -815,8 +821,8 @@ type jobArtifacts struct {
 // Artifacts stay shared and immutable across tenants (the cache key is
 // the spec hash, never the tenant); only the accounting is per tenant:
 // hit/miss per artifact lookup, plus the job's table bytes walked
-// (12 bytes per occurrence in the columnar layout) as the tenant's
-// data-plane consumption.
+// (yet.OccurrenceBytes per occurrence) as the tenant's data-plane
+// consumption.
 func (s *scheduler) prepare(j *Job) (*jobArtifacts, error) {
 	a, err := prepareLocal(j.ctx, s.cache, j.Spec, s.cfg.EngineWorkers, j.progress())
 	if err == nil && j.Tenant != "" {
@@ -828,7 +834,7 @@ func (s *scheduler) prepare(j *Job) (*jobArtifacts, error) {
 				tc.cacheMiss.Add(1)
 			}
 		}
-		tc.cacheBytes.Add(int64(a.table.NumOccurrences()) * 12)
+		tc.cacheBytes.Add(int64(a.table.NumOccurrences()) * yet.OccurrenceBytes)
 	}
 	return a, err
 }

@@ -53,6 +53,41 @@ func TestListenPortCollision(t *testing.T) {
 	}
 }
 
+// TestServeShutdownIgnoresUnusedConn: a connection that never carried a
+// request (an HTTP client's pre-dialed spare) must not turn a signalled
+// drain into an error. net/http's Shutdown only treats such a connection
+// as idle once it is 5s old, so without care a grace period of that
+// order expires on it and ared exits non-zero with nothing cut off.
+func TestServeShutdownIgnoresUnusedConn(t *testing.T) {
+	srv, err := New(Config{Addr: "127.0.0.1:0", ShutdownGrace: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := srv.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+
+	spare, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spare.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after a clean drain = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after its grace period")
+	}
+}
+
 func shutdownQuiet(t *testing.T, srv *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -466,9 +466,37 @@ func (s *Server) Listen() (net.Listener, error) {
 // Serve serves the API on ln until ctx is cancelled, then shuts down
 // gracefully exactly as ListenAndServe does.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	// conns tracks each open connection's state so a shutdown whose
+	// grace expired can tell a request cut off mid-flight from a
+	// connection that never carried one: net/http's Shutdown only counts
+	// a connection still in StateNew (a client's pre-dialed spare) as
+	// idle once it is 5s old, and that alone is no unclean drain.
+	var (
+		connMu sync.Mutex
+		conns  = make(map[net.Conn]http.ConnState)
+	)
 	hs := &http.Server{
 		Handler:           s.handler,
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState: func(c net.Conn, st http.ConnState) {
+			connMu.Lock()
+			defer connMu.Unlock()
+			if st == http.StateClosed || st == http.StateHijacked {
+				delete(conns, c)
+				return
+			}
+			conns[c] = st
+		},
+	}
+	busy := func() bool {
+		connMu.Lock()
+		defer connMu.Unlock()
+		for _, st := range conns {
+			if st == http.StateActive {
+				return true
+			}
+		}
+		return false
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -480,6 +508,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	grace, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
 	defer cancel()
 	httpErr := hs.Shutdown(grace)
+	if httpErr != nil && !busy() {
+		hs.Close() // only never-used connections remain; nothing is cut off
+		httpErr = nil
+	}
 	jobErr := s.Shutdown(grace)
 	if httpErr != nil {
 		return httpErr

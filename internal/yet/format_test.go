@@ -1,41 +1,17 @@
 package yet
 
-// Round-trip coverage for the format version bump: the v2 writer must
-// round-trip bitwise through both readers, v1 files written by earlier
-// releases must still load to the same table, and corrupt payloads of
-// either version must be rejected.
+// Coverage for the on-disk format: the writer's exact size, a bitwise
+// round trip across generation shapes, and the version gate on every
+// reader.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
-
-// writeV1 serialises tab in the retired version-1 format (interleaved
-// 16-byte occurrence records), reproducing the old writer byte for byte
-// so compatibility tests exercise real legacy files.
-func writeV1(t *testing.T, tab *Table) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	w := func(v any) {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w(uint32(versionAoS))
-	w(uint64(tab.NumTrials()))
-	w(uint64(tab.NumOccurrences()))
-	w(tab.bounds)
-	for i := range tab.events {
-		w(tab.events[i])
-		w(uint32(0)) // the v1 record's alignment padding
-		w(math.Float64bits(tab.times[i]))
-	}
-	return buf.Bytes()
-}
 
 func tablesEqual(t *testing.T, a, b *Table, context string) {
 	t.Helper()
@@ -46,9 +22,6 @@ func tablesEqual(t *testing.T, a, b *Table, context string) {
 		if a.events[i] != b.events[i] {
 			t.Fatalf("%s: event column differs at %d", context, i)
 		}
-		if math.Float64bits(a.times[i]) != math.Float64bits(b.times[i]) {
-			t.Fatalf("%s: time column differs at %d", context, i)
-		}
 	}
 	for i := range a.bounds {
 		if a.bounds[i] != b.bounds[i] {
@@ -57,45 +30,13 @@ func tablesEqual(t *testing.T, a, b *Table, context string) {
 	}
 }
 
-// TestV1FilesStillLoad: a legacy interleaved file decodes to the same
-// columns the v2 writer round-trips, through both the whole-table
-// reader and the streaming reader.
-func TestV1FilesStillLoad(t *testing.T) {
-	tab := genTable(t, Config{Seed: 61, Trials: 40, MeanEvents: 25}, 3000)
-	v1 := writeV1(t, tab)
-
-	got, err := Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
+// TestOccurrenceSize: an occurrence costs OccurrenceBytes on disk —
+// the writer stamps version 3 and emits the header, the bounds and one
+// uint32 per occurrence, nothing else.
+func TestOccurrenceSize(t *testing.T) {
+	if OccurrenceBytes != 4 {
+		t.Fatalf("OccurrenceBytes = %d, want 4", OccurrenceBytes)
 	}
-	tablesEqual(t, got, tab, "v1 Read")
-
-	rd, err := NewReader(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", rd.Version())
-	}
-	streamed := &Table{bounds: []uint64{0}}
-	for !rd.Done() {
-		b, err := rd.ReadBatch(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := streamed.bounds[len(streamed.bounds)-1]
-		streamed.events = append(streamed.events, b.events...)
-		streamed.times = append(streamed.times, b.times...)
-		for _, v := range b.bounds[1:] {
-			streamed.bounds = append(streamed.bounds, base+v)
-		}
-	}
-	tablesEqual(t, streamed, tab, "v1 streamed")
-}
-
-// TestV2WriterVersionAndSize: the writer stamps version 2 and drops the
-// v1 padding (12 bytes per occurrence instead of 16).
-func TestV2WriterVersionAndSize(t *testing.T) {
 	tab := genTable(t, Config{Seed: 62, Trials: 16, FixedEvents: 10}, 500)
 	var buf bytes.Buffer
 	n, err := tab.WriteTo(&buf)
@@ -106,65 +47,39 @@ func TestV2WriterVersionAndSize(t *testing.T) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 	data := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != 2 {
-		t.Fatalf("written version = %d, want 2", v)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != 3 {
+		t.Fatalf("written version = %d, want 3", v)
 	}
-	wantLen := 4 + 4 + 8 + 8 + 8*(tab.NumTrials()+1) + 12*tab.NumOccurrences()
+	wantLen := headerSize + 8*(tab.NumTrials()+1) + OccurrenceBytes*tab.NumOccurrences()
 	if buf.Len() != wantLen {
-		t.Fatalf("v2 size = %d, want %d (12 bytes/occurrence)", buf.Len(), wantLen)
-	}
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", rd.Version())
+		t.Fatalf("size = %d, want %d", buf.Len(), wantLen)
 	}
 }
 
-// TestV2RoundTripBitwise: writer -> reader preserves every column bit
+// TestRoundTripBitwise: writer -> reader preserves every column bit
 // across generation shapes (empty trials included).
-func TestV2RoundTripBitwise(t *testing.T) {
+func TestRoundTripBitwise(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 63, Trials: 50, MeanEvents: 20},
 		{Seed: 64, Trials: 80, MeanEvents: 0.7}, // many empty trials
 		{Seed: 65, Trials: 10, FixedEvents: 200, Seasonal: true},
 	} {
 		tab := genTable(t, cfg, 2000)
-		var buf bytes.Buffer
-		if _, err := tab.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
+		got, err := Read(bytes.NewReader(serialise(t, tab)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tablesEqual(t, got, tab, "v2 round trip")
+		tablesEqual(t, got, tab, "round trip")
 	}
 }
 
-// TestV1TruncationRejected mirrors the v2 truncation tests for the
-// legacy payload decoder.
-func TestV1TruncationRejected(t *testing.T) {
-	tab := genTable(t, Config{Seed: 66, Trials: 6, FixedEvents: 4}, 100)
-	v1 := writeV1(t, tab)
-	for _, cut := range []int{len(v1) - 1, len(v1) - 20, len(v1) / 2} {
-		if _, err := Read(bytes.NewReader(v1[:cut])); err == nil {
-			t.Fatalf("v1 truncation at %d accepted", cut)
-		}
-	}
-}
-
-// TestUnknownVersionRejected guards the version gate now that two are
-// accepted.
+// TestUnknownVersionRejected: Read, NewReader and Map accept only the
+// current version. Versions 1 and 2 stored timestamps beside the events
+// and are rejected, not misread; cmd/datagen regenerates such files.
 func TestUnknownVersionRejected(t *testing.T) {
 	tab := genTable(t, Config{Seed: 67, Trials: 2, FixedEvents: 2}, 10)
-	var buf bytes.Buffer
-	if _, err := tab.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, v := range []uint32{0, 3, 99} {
+	data := serialise(t, tab)
+	for _, v := range []uint32{0, 1, 2, 4, 99} {
 		binary.LittleEndian.PutUint32(data[4:8], v)
 		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: err = %v, want ErrBadVersion", v, err)
@@ -172,29 +87,12 @@ func TestUnknownVersionRejected(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: stream err = %v, want ErrBadVersion", v, err)
 		}
+		path := filepath.Join(t.TempDir(), "old.yet")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Map(path); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: Map err = %v, want ErrBadVersion", v, err)
+		}
 	}
-}
-
-// TestV1V2SameContentDifferentBytes: the same table serialises to
-// different byte streams but identical decoded content — the combined
-// contract of "accept both on read".
-func TestV1V2SameContentDifferentBytes(t *testing.T) {
-	tab := genTable(t, Config{Seed: 68, Trials: 30, MeanEvents: 15}, 1000)
-	var v2 bytes.Buffer
-	if _, err := tab.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	v1 := writeV1(t, tab)
-	if bytes.Equal(v1, v2.Bytes()) {
-		t.Fatal("v1 and v2 encodings unexpectedly identical")
-	}
-	a, err := Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Read(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, a, b, "v1 vs v2 decode")
 }

@@ -2,40 +2,28 @@ package yet
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// This file is the zero-copy loading path: Map serves a v2 file's
-// columns directly out of a read-only page-cache mapping instead of
-// decoding them onto the heap.
-//
-// The v2 layout makes that possible without any translation:
+// This file is the zero-copy loading path: Map serves a file's columns
+// directly out of a read-only page-cache mapping instead of decoding
+// them onto the heap. The format needs no translation for that:
 //
 //   - The boundary vector starts at byte 24 (magic + version + two
 //     uint64 counts), which is 8-aligned, so the mapped bytes ARE the
 //     []uint64 bounds slice.
-//   - The payload starts at 24 + 8*(numTrials+1), also 8-aligned, and
-//     trial i's bytes begin 12*bounds[i] into it (each occurrence costs
-//     4 event + 8 time bytes). The event column of trial i therefore
-//     sits at a 4-aligned offset and is served as an unsafe []uint32
-//     view — the kernels' hot accessor touches only mapped memory.
-//   - Trial time columns are only guaranteed 4-aligned (4*n_i past a
-//     4-aligned offset), so they cannot be viewed as []float64 portably.
-//     Timestamps are cold — kernels never read them — so the whole time
-//     column is decoded to the heap lazily, once per mapping, the first
-//     time any view asks (sync.Once; concurrent jobs sharing the
-//     mapping share the materialised column too).
+//   - The event column starts at 24 + 8*(numTrials+1), also 8-aligned,
+//     and trial i's events begin 4*bounds[i] into it, so each trial is
+//     served as an unsafe []uint32 view — the kernels' hot accessor
+//     touches only mapped memory.
 //
-// Version 1 files (interleaved AoS) and builds without an mmap backend
-// fall back to the heap decoder, so Map is always safe to call.
+// Builds without an mmap backend fall back to the heap decoder, so Map
+// is always safe to call.
 
 // mapping owns one mmap'd YET file. All Table views cut from a Map'd
 // table share the mapping; the last reference dropping triggers a
@@ -44,10 +32,7 @@ type mapping struct {
 	data    []byte   // the whole file
 	payload []byte   // data[payloadStart:]
 	bounds  []uint64 // unsafe view of the file's boundary vector
-
-	timesOnce sync.Once
-	times     []float64 // lazily materialised full time column
-	closed    atomic.Bool
+	closed  atomic.Bool
 }
 
 // trialEvents returns the event column of the trial whose occurrences
@@ -56,27 +41,7 @@ func (m *mapping) trialEvents(abs, n uint64) []uint32 {
 	if n == 0 {
 		return nil
 	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&m.payload[12*abs])), n)
-}
-
-// materialiseTimes decodes the full time column to the heap, once.
-// Timestamps are the cold column — only report/oracle code reads them —
-// so this is the one heap cost a mapped table ever pays, and N sharing
-// views pay it once between them.
-func (m *mapping) materialiseTimes() []float64 {
-	m.timesOnce.Do(func() {
-		total := m.bounds[len(m.bounds)-1]
-		ts := make([]float64, 0, total)
-		for i := 0; i < len(m.bounds)-1; i++ {
-			lo, hi := m.bounds[i], m.bounds[i+1]
-			off := 12*lo + 4*(hi-lo)
-			for j := uint64(0); j < hi-lo; j++ {
-				ts = append(ts, math.Float64frombits(binary.LittleEndian.Uint64(m.payload[off+8*j:])))
-			}
-		}
-		m.times = ts
-	})
-	return m.times
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&m.payload[4*abs])), n)
 }
 
 // close releases the mapping. Idempotent; later column access through a
@@ -96,12 +61,12 @@ func (m *mapping) close() error {
 // version uint32, numTrials uint64, numOcc uint64.
 const headerSize = 24
 
-// Map opens a serialised YET and serves it without decoding: v2 files
-// on platforms with an mmap backend come back as page-cache-backed
-// views (Mapped() == true) whose event columns alias the file bytes;
-// v1 files and nommap builds transparently fall back to the heap
-// decoder. The returned table and every Slice cut from it share one
-// mapping, released by a finalizer or an explicit Close on the root.
+// Map opens a serialised YET and serves it without decoding: on
+// platforms with an mmap backend it comes back as a page-cache-backed
+// view (Mapped() == true) whose event columns alias the file bytes;
+// nommap builds transparently fall back to the heap decoder. The
+// returned table and every Slice cut from it share one mapping,
+// released by a finalizer or an explicit Close on the root.
 func Map(path string) (*Table, error) {
 	if !mmapSupported {
 		return ReadFile(path)
@@ -115,19 +80,14 @@ func Map(path string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.version != version {
-		// v1 interleaves each occurrence's event and time, so there is
-		// no contiguous event column to view; decode it.
-		return ReadFile(path)
-	}
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	payloadStart := int64(headerSize) + 8*int64(h.numTrials+1)
-	want := payloadStart + 12*int64(h.numOcc)
+	want := payloadStart + OccurrenceBytes*int64(h.numOcc)
 	if fi.Size() != want {
-		return nil, fmt.Errorf("%w: file is %d bytes, v2 header implies %d", ErrCorrupt, fi.Size(), want)
+		return nil, fmt.Errorf("%w: file is %d bytes, header implies %d", ErrCorrupt, fi.Size(), want)
 	}
 	data, err := mmapFile(f, fi.Size())
 	if err != nil {
@@ -177,7 +137,7 @@ func (t *Table) Close() error {
 }
 
 // ReadFile decodes a serialised YET from disk onto the heap — the
-// portable counterpart of Map, accepting both format versions.
+// portable counterpart of Map.
 func ReadFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -187,9 +147,9 @@ func ReadFile(path string) (*Table, error) {
 	return Read(f)
 }
 
-// WriteFile atomically serialises the table to path in the current
-// format: it writes a temp file in the same directory, fsyncs, and
-// renames into place, so a concurrent Map never observes a torn file.
+// WriteFile atomically serialises the table to path: it writes a temp
+// file in the same directory, fsyncs, and renames into place, so a
+// concurrent Map never observes a torn file.
 func WriteFile(path string, t *Table) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")

@@ -2,16 +2,13 @@ package yet
 
 // Oracle coverage for the zero-copy loader: Map must be observationally
 // identical — bitwise, through every accessor — to the heap decoder on
-// the same file, across both format versions, with empty trials, under
-// slicing, and under concurrent access; truncated files must be
-// rejected on both the mmap and the fallback path.
+// the same file, with empty trials and under slicing; truncated files
+// must be rejected on both the mmap and the fallback path.
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -26,16 +23,12 @@ func viewsEqual(t *testing.T, a, b *Table, context string) {
 	}
 	for i := 0; i < a.NumTrials(); i++ {
 		ae, be := a.TrialEvents(i), b.TrialEvents(i)
-		at, bt := a.TrialTimes(i), b.TrialTimes(i)
-		if len(ae) != len(be) || len(at) != len(bt) || len(ae) != len(at) {
+		if len(ae) != len(be) || len(ae) != a.TrialLen(i) {
 			t.Fatalf("%s: trial %d length mismatch", context, i)
 		}
 		for j := range ae {
 			if ae[j] != be[j] {
 				t.Fatalf("%s: trial %d event %d differs", context, i, j)
-			}
-			if math.Float64bits(at[j]) != math.Float64bits(bt[j]) {
-				t.Fatalf("%s: trial %d time %d differs", context, i, j)
 			}
 		}
 	}
@@ -51,7 +44,7 @@ func writeTemp(t *testing.T, tab *Table, name string) string {
 	return path
 }
 
-// TestMapMatchesReadBitwise: the mapped view of a v2 file is bitwise
+// TestMapMatchesReadBitwise: the mapped view of a file is bitwise
 // identical to the heap decode of the same file, including a config
 // with many empty trials, and WriteTo of the mapped table reproduces
 // the original file byte for byte.
@@ -72,7 +65,7 @@ func TestMapMatchesReadBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mapped.Mapped() != mmapSupported {
-			t.Fatalf("Mapped() = %v on a v2 file, mmapSupported = %v", mapped.Mapped(), mmapSupported)
+			t.Fatalf("Mapped() = %v, mmapSupported = %v", mapped.Mapped(), mmapSupported)
 		}
 		viewsEqual(t, mapped, heap, "map vs read")
 		viewsEqual(t, mapped, gen, "map vs generate")
@@ -117,25 +110,6 @@ func TestMapSliceViews(t *testing.T) {
 	}
 }
 
-// TestMapV1FallsBack: a legacy v1 file loads through Map via the heap
-// decoder (no contiguous event column exists to view) with identical
-// content.
-func TestMapV1FallsBack(t *testing.T) {
-	gen := genTable(t, Config{Seed: 95, Trials: 30, MeanEvents: 12}, 800)
-	path := filepath.Join(t.TempDir(), "v1.yet")
-	if err := os.WriteFile(path, writeV1(t, gen), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mapped() {
-		t.Fatal("v1 file came back mapped")
-	}
-	viewsEqual(t, got, gen, "v1 via Map")
-}
-
 // TestMapTruncatedRejected: files cut inside the header, the boundary
 // vector or the payload must all fail Map with an error on both the
 // mmap and the nommap build.
@@ -155,15 +129,16 @@ func TestMapTruncatedRejected(t *testing.T) {
 			t.Fatalf("Map accepted a file truncated at byte %d", cut)
 		}
 	}
-	// Trailing garbage is as corrupt as truncation on the mapped path.
-	if mmapSupported {
-		path := filepath.Join(t.TempDir(), "long.yet")
-		if err := os.WriteFile(path, append(append([]byte{}, data...), 0xFF), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Map(path); err == nil {
-			t.Fatal("Map accepted a v2 file with trailing bytes")
-		}
+	// Trailing garbage is as corrupt as truncation on both paths.
+	path := filepath.Join(t.TempDir(), "long.yet")
+	if err := os.WriteFile(path, append(append([]byte{}, data...), 0xFF), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Map(path); err == nil {
+		t.Fatal("Map accepted a file with trailing bytes")
+	}
+	if _, err := ReadFile(path); err == nil {
+		t.Fatal("ReadFile accepted a file with trailing bytes")
 	}
 }
 
@@ -172,33 +147,4 @@ func TestMapMissingFile(t *testing.T) {
 	if _, err := Map(filepath.Join(t.TempDir(), "absent.yet")); err == nil {
 		t.Fatal("Map of a missing file succeeded")
 	}
-}
-
-// TestMapConcurrentTimes: many goroutines racing to be the first
-// TrialTimes caller on one shared mapping all observe the same
-// materialised column (the -race build checks the synchronisation).
-func TestMapConcurrentTimes(t *testing.T) {
-	gen := genTable(t, Config{Seed: 97, Trials: 40, MeanEvents: 8}, 600)
-	mapped, err := Map(writeTemp(t, gen, "tab.yet"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < mapped.NumTrials(); i++ {
-				want, got := gen.TrialTimes(i), mapped.TrialTimes(i)
-				for j := range want {
-					if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
-						t.Errorf("trial %d time %d differs", i, j)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -7,21 +7,18 @@ import (
 )
 
 // Reader streams a serialised YET trial-by-trial without materialising
-// the whole table: a paper-size YET (1M trials x 1000 events) is ~12 GB
-// on disk in the v2 columnar format (~16 GB in v1), which the paper's
-// preprocessing stage loads wholesale; the streaming reader lets the
-// engine analyse tables larger than memory in bounded batches. Both
-// format versions stream: v2 groups each trial's event and time columns
-// so a batch decodes straight into the columnar in-memory layout.
+// the whole table: a paper-size YET (1M trials x 1000 events) is ~4 GB
+// on disk, which the paper's preprocessing stage loads wholesale; the
+// streaming reader lets the engine analyse tables larger than memory in
+// bounded batches, each decoded straight into a table's event column.
 type Reader struct {
-	dec    payloadDecoder
+	br     *bufio.Reader
 	bounds []uint64 // full boundary vector (8 bytes/trial; ~8 MB for 1M trials)
 	next   int      // next trial index to read
 }
 
 // NewReader parses the header and boundary vector and positions the
-// stream at the first trial. Both format versions (v2 columnar, v1
-// interleaved) are accepted.
+// stream at the first trial.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	h, err := readHeader(br)
@@ -32,11 +29,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{dec: payloadDecoder{br: br, version: h.version}, bounds: bounds}, nil
+	return &Reader{br: br, bounds: bounds}, nil
 }
-
-// Version reports the format version of the underlying stream.
-func (r *Reader) Version() int { return int(r.dec.version) }
 
 // NumTrials returns the total trial count declared by the stream.
 func (r *Reader) NumTrials() int { return len(r.bounds) - 1 }
@@ -77,19 +71,12 @@ func (r *Reader) ReadBatch(maxTrials int) (*Table, error) {
 	}
 	base := r.bounds[lo]
 	count := r.bounds[hi] - base
-	t := &Table{
-		events: make([]uint32, 0, count),
-		times:  make([]float64, 0, count),
-		bounds: make([]uint64, hi-lo+1),
-	}
+	t := &Table{events: make([]uint32, 0, count), bounds: make([]uint64, hi-lo+1)}
 	for i := range t.bounds {
 		t.bounds[i] = r.bounds[lo+i] - base
 	}
-	for i := lo; i < hi; i++ {
-		n := r.bounds[i+1] - r.bounds[i]
-		if err := r.dec.readTrial(t, n, r.bounds[i]); err != nil {
-			return nil, err
-		}
+	if err := readEvents(r.br, t, count, base); err != nil {
+		return nil, err
 	}
 	r.next = hi
 	return t, nil

@@ -37,8 +37,8 @@ func TestReaderBatchesMatchTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < got.NumTrials(); i++ {
-				want := tab.Trial(idx + i)
-				have := got.Trial(i)
+				want := tab.TrialEvents(idx + i)
+				have := got.TrialEvents(i)
 				if len(want) != len(have) {
 					t.Fatalf("trial %d length mismatch", idx+i)
 				}

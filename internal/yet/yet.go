@@ -2,35 +2,34 @@
 // pre-simulated years that gives aggregate analysis its consistent lens
 // (paper §II.A.1).
 //
-// Each trial Ti is an ordered sequence of (event ID, timestamp) pairs —
-// one alternative view of which events occur within a contractual year and
-// in which order. A production YET holds thousands to millions of trials
-// of roughly 800-1500 occurrences each.
+// Each trial Ti is an ordered sequence of event IDs — one alternative
+// view of which events occur within a contractual year and in which
+// order. A production YET holds thousands to millions of trials of
+// roughly 800-1500 occurrences each. Generation draws a time of year
+// per occurrence, but its only effect is the order of the trial's
+// events, which fixes every kernel's summation order; the table keeps
+// the order and drops the draws.
 //
-// The in-memory layout is columnar (struct of arrays): event IDs and
-// timestamps live in two flat vectors sliced by a shared trial-boundary
-// vector. The engine's kernels stream only the 4-byte event column
-// (TrialEvents) — the access the paper identifies as memory-bound —
-// instead of pulling 16-byte interleaved occurrence structs through the
-// cache to read 4-byte IDs; timestamps stay resident but untouched until
-// a consumer actually needs them (TrialTimes). The flat vectors mirror
-// the paper's basic implementation (§III.B.1) and keep the table
-// trivially serialisable and memory-mappable.
+// The table is one flat event column sliced by a trial-boundary vector:
+// 4 bytes per occurrence, which is all the engine's kernels stream
+// (TrialEvents). The flat vectors mirror the paper's basic
+// implementation (§III.B.1) and keep the table trivially serialisable
+// and memory-mappable.
 //
 // The package covers the table's full lifecycle:
 //
 //   - Generate builds synthetic tables (Poisson or negative-binomial
-//     occurrence counts, optional seasonal timestamps), deterministic in
+//     occurrence counts, optional seasonal ordering), deterministic in
 //     the seed — trial i always comes from rng stream (seed, i), so a
 //     table's Config doubles as its content identity (the ared service
 //     caches generated tables under a hash of it).
 //   - Table.WriteTo / Read serialise a table in the package's binary
-//     format (version 2, trial-grouped columnar; version 1 files are
-//     still read).
+//     format (version 3: header, bounds, event column).
 //   - Reader decodes that format incrementally — header and trial
 //     boundaries eagerly, payloads in caller-sized batches — which is
 //     what lets the engine's streaming pipeline analyse tables far
 //     larger than memory (see stream.go and core.NewStreamSource).
+//   - Map serves a file's columns straight from the page cache (map.go).
 package yet
 
 import (
@@ -41,30 +40,19 @@ import (
 	"io"
 	"math"
 	"sort"
-	"unsafe"
 
 	"github.com/ralab/are/internal/catalog"
 	"github.com/ralab/are/internal/rng"
 	"github.com/ralab/are/internal/stats"
 )
 
-// Occurrence is one (event, timestamp) pair within a trial. Time is the
-// fraction of the contractual year elapsed, in [0, 1). It remains the
-// record type of the row-oriented views (Trial, generation scratch);
-// the table itself stores columns.
-type Occurrence struct {
-	Event catalog.EventID
-	_     uint32 // padding: keeps Time 8-byte aligned in []Occurrence views
-	Time  float64
-}
-
-// Table is a packed Year Event Table in columnar (SoA) layout. The
-// backing is either heap slices (Generate, Read) or a shared read-only
-// file mapping (Map; see map.go) — the accessors hide which.
+// Table is a packed Year Event Table: one event column sliced by trial
+// bounds. The backing is either a heap slice (Generate, Read) or a
+// shared read-only file mapping (Map; see map.go) — the accessors hide
+// which.
 type Table struct {
-	events []uint32  // all trials' event IDs, concatenated (heap backing)
-	times  []float64 // all trials' timestamps, parallel to events (heap backing)
-	bounds []uint64  // len = NumTrials+1; trial i spans [bounds[i], bounds[i+1])
+	events []uint32 // all trials' event IDs, concatenated (heap backing)
+	bounds []uint64 // len = NumTrials+1; trial i spans [bounds[i], bounds[i+1])
 
 	m     *mapping // non-nil when columns are served from an mmap'd file
 	mbase uint64   // file-order occurrence offset of this view's trial 0
@@ -92,11 +80,11 @@ type Config struct {
 	// real catalogs exhibit. 0 or 1 keeps Poisson counts.
 	Dispersion float64
 
-	// Seasonal, when true, draws timestamps from a peril-appropriate
-	// within-year distribution instead of uniform: occurrences bunch in
-	// season (e.g. hurricanes concentrated mid-year). Requires the
-	// EventSource to implement PerilSource; otherwise a single shared
-	// seasonal profile is used.
+	// Seasonal, when true, orders each trial's events by a time of year
+	// drawn from a peril-appropriate distribution instead of uniform:
+	// occurrences bunch in season (e.g. hurricanes concentrated
+	// mid-year). Requires the EventSource to implement PerilSource;
+	// otherwise a single shared seasonal profile is used.
 	Seasonal bool
 }
 
@@ -129,8 +117,8 @@ func UniformSource(n int) EventSource { return uniformSource{n: n} }
 
 // Generate builds a YET by simulating Trials years. Each trial's
 // occurrence count is Poisson(MeanEvents) (or FixedEvents), events are
-// drawn from src, and timestamps are uniform over the year and sorted
-// ascending — the ordered-set structure the aggregate terms rely on.
+// drawn from src, each with a uniform time of year, and ordered by that
+// time — the ordered-set structure the aggregate terms rely on.
 // Trial i is generated from rng stream (Seed, i), so the table content is
 // independent of generation order and may be parallelised.
 func Generate(src EventSource, cfg Config) (*Table, error) {
@@ -148,9 +136,10 @@ var ErrBadRange = errors.New("yet: generation range outside [0, Trials]")
 // coordination — while the cluster's merged result still reproduces the
 // single-node run exactly.
 //
-// Each trial is drawn and time-sorted in a small row-oriented scratch
-// (the same draw order and sort call as every prior format version, so
-// content stays bitwise identical) and then appended to the columns.
+// Each trial's (event, time) pairs are drawn and time-sorted in a small
+// scratch (the same draw order and sort call as every prior format
+// version, so the event order stays bitwise identical); only the events
+// are kept.
 func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
 	if src == nil {
 		return nil, ErrNilSource
@@ -170,11 +159,13 @@ func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
 	if cfg.FixedEvents > 0 {
 		expect = float64(cfg.FixedEvents)
 	}
-	capHint := int(float64(n) * expect * 11 / 10)
-	t.events = make([]uint32, 0, capHint)
-	t.times = make([]float64, 0, capHint)
+	t.events = make([]uint32, 0, int(float64(n)*expect*11/10))
 	perils, _ := src.(PerilSource)
-	var scratch []Occurrence
+	type occurrence struct {
+		event uint32
+		time  float64
+	}
+	var scratch []occurrence
 	for i := lo; i < hi; i++ {
 		r := rng.At(cfg.Seed, uint64(i))
 		n := cfg.FixedEvents
@@ -186,7 +177,7 @@ func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
 			}
 		}
 		if cap(scratch) < n {
-			scratch = make([]Occurrence, n)
+			scratch = make([]occurrence, n)
 		}
 		trial := scratch[:n]
 		for j := 0; j < n; j++ {
@@ -199,12 +190,11 @@ func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
 				}
 				tm = seasonalTime(r, p)
 			}
-			trial[j] = Occurrence{Event: ev, Time: tm}
+			trial[j] = occurrence{event: uint32(ev), time: tm}
 		}
-		sort.Slice(trial, func(a, b int) bool { return trial[a].Time < trial[b].Time })
+		sort.Slice(trial, func(a, b int) bool { return trial[a].time < trial[b].time })
 		for j := range trial {
-			t.events = append(t.events, uint32(trial[j].Event))
-			t.times = append(t.times, trial[j].Time)
+			t.events = append(t.events, trial[j].event)
 		}
 		t.bounds = append(t.bounds, uint64(len(t.events)))
 	}
@@ -226,10 +216,10 @@ func negBinomial(r *rng.Rand, mean, d float64) int {
 	return stats.Poisson(r, lambda)
 }
 
-// seasonalTime draws a within-year timestamp from the peril's seasonal
+// seasonalTime draws a time of year in [0, 1) from the peril's seasonal
 // profile: peaked mid-season for hurricanes and tornadoes, winter-peaked
 // for winter storms, broad for floods, uniform for earthquakes. The
-// result is clamped into [0, 1) to honour the table invariant.
+// result is clamped into [0, 1).
 func seasonalTime(r *rng.Rand, p catalog.Peril) float64 {
 	t := rawSeasonalTime(r, p)
 	if t >= 1 {
@@ -281,34 +271,10 @@ func (t *Table) TrialEvents(i int) []uint32 {
 	return t.events[t.bounds[i]:t.bounds[i+1]]
 }
 
-// TrialTimes returns the timestamp column of trial i (shared storage;
-// callers must not modify it), parallel to TrialEvents(i). On a mapped
-// table the first call materialises the whole (cold) time column once
-// per mapping; see map.go for the alignment reason.
-func (t *Table) TrialTimes(i int) []float64 {
-	if t.m != nil {
-		ts := t.m.materialiseTimes()
-		return ts[t.mbase+t.bounds[i] : t.mbase+t.bounds[i+1]]
-	}
-	return t.times[t.bounds[i]:t.bounds[i+1]]
-}
-
 // TrialLen returns the occurrence count of trial i without touching
-// either column.
+// the event column.
 func (t *Table) TrialLen(i int) int {
 	return int(t.bounds[i+1] - t.bounds[i])
-}
-
-// Trial materialises trial i as a row-oriented occurrence slice. It
-// allocates per call — a convenience for oracles, tests and report code;
-// hot paths should read the columns (TrialEvents/TrialTimes) directly.
-func (t *Table) Trial(i int) []Occurrence {
-	evs, tms := t.TrialEvents(i), t.TrialTimes(i)
-	occ := make([]Occurrence, len(evs))
-	for j := range occ {
-		occ[j] = Occurrence{Event: catalog.EventID(evs[j]), Time: tms[j]}
-	}
-	return occ
 }
 
 // MeanTrialLen returns the average occurrences per trial.
@@ -335,36 +301,29 @@ func (t *Table) Slice(lo, hi int) *Table {
 	if t.m != nil {
 		return &Table{bounds: bounds, m: t.m, mbase: t.mbase + base}
 	}
-	return &Table{
-		events: t.events[base:t.bounds[hi]],
-		times:  t.times[base:t.bounds[hi]],
-		bounds: bounds,
-	}
+	return &Table{events: t.events[base:t.bounds[hi]], bounds: bounds}
 }
 
 // ---------------------------------------------------------------------------
-// Binary serialisation.
-//
-// Version 2 (written), trial-grouped columnar:
+// Binary serialisation, version 3:
 //
 //	magic  "YETB"            4 bytes
-//	version uint32           little endian (2)
+//	version uint32           little endian (3)
 //	numTrials uint64
 //	numOcc    uint64
 //	bounds    (numTrials+1) x uint64
-//	payload   per trial: events (n_i x uint32), then times (n_i x float64)
+//	events    numOcc x uint32, all trials in order
 //
-// Version 1 (still read) interleaved each occurrence as
-// { event uint32, pad uint32, time float64 }; v2 drops the padding —
-// 12 bytes per occurrence instead of 16 — and groups each trial's
-// columns so both the whole-table reader and the streaming reader
-// decode straight into the in-memory column layout.
+// Versions 1 and 2 also stored a float64 time per occurrence; they are
+// rejected with ErrBadVersion, and cmd/datagen regenerates such files.
 
 const (
 	magic   = "YETB"
-	version = 2 // written; readers also accept 1
+	version = 3
 
-	versionAoS = 1 // interleaved 16-byte occurrence records
+	// OccurrenceBytes is what one occurrence costs in a table's
+	// memory and on disk: one uint32 event ID.
+	OccurrenceBytes = 4
 )
 
 // Serialisation errors.
@@ -374,8 +333,7 @@ var (
 	ErrCorrupt    = errors.New("yet: corrupt table data")
 )
 
-// WriteTo serialises the table in the current (v2) format. It implements
-// io.WriterTo.
+// WriteTo serialises the table. It implements io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var n int64
@@ -402,30 +360,22 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	if err := write(t.bounds); err != nil {
 		return n, err
 	}
-	var rec [8]byte
+	var rec [4]byte
 	for i := 0; i < t.NumTrials(); i++ {
 		for _, ev := range t.TrialEvents(i) {
-			binary.LittleEndian.PutUint32(rec[:4], ev)
-			if _, err := bw.Write(rec[:4]); err != nil {
+			binary.LittleEndian.PutUint32(rec[:], ev)
+			if _, err := bw.Write(rec[:]); err != nil {
 				return n, err
 			}
 			n += 4
-		}
-		for _, tm := range t.TrialTimes(i) {
-			binary.LittleEndian.PutUint64(rec[:8], math.Float64bits(tm))
-			if _, err := bw.Write(rec[:8]); err != nil {
-				return n, err
-			}
-			n += 8
 		}
 	}
 	return n, bw.Flush()
 }
 
 // header is the parsed fixed-size prefix shared by the whole-table
-// reader and the streaming reader.
+// reader, the streaming reader and Map.
 type header struct {
-	version   uint32
 	numTrials uint64
 	numOcc    uint64
 }
@@ -440,11 +390,12 @@ func readHeader(br *bufio.Reader) (header, error) {
 	if string(mg[:]) != magic {
 		return h, ErrBadMagic
 	}
-	if err := binary.Read(br, binary.LittleEndian, &h.version); err != nil {
+	var v uint32
+	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
 		return h, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if h.version != version && h.version != versionAoS {
-		return h, fmt.Errorf("%w: %d", ErrBadVersion, h.version)
+	if v != version {
+		return h, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	if err := binary.Read(br, binary.LittleEndian, &h.numTrials); err != nil {
 		return h, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -488,51 +439,16 @@ func readBounds(br *bufio.Reader, h header) ([]uint64, error) {
 	return bounds, nil
 }
 
-// payloadDecoder appends trial payloads of one format version to a
-// table's columns, validating timestamps as they arrive.
-type payloadDecoder struct {
-	br      *bufio.Reader
-	version uint32
-	scratch []byte
-}
-
-// checkTime enforces the table invariant on one decoded timestamp.
-func checkTime(tm float64, occ uint64) error {
-	if math.IsNaN(tm) || tm < 0 || tm >= 1 {
-		return fmt.Errorf("%w: timestamp %v at occurrence %d", ErrCorrupt, tm, occ)
-	}
-	return nil
-}
-
-// readTrial decodes the next trial's n occurrences (numbered from base
-// in error messages) and appends them to t's columns.
-func (d *payloadDecoder) readTrial(t *Table, n uint64, base uint64) error {
-	if d.version == versionAoS {
-		var rec [16]byte
-		for i := uint64(0); i < n; i++ {
-			if _, err := io.ReadFull(d.br, rec[:]); err != nil {
-				return fmt.Errorf("%w: truncated at occurrence %d: %v", ErrCorrupt, base+i, err)
-			}
-			tm := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16]))
-			if err := checkTime(tm, base+i); err != nil {
-				return err
-			}
-			t.events = append(t.events, binary.LittleEndian.Uint32(rec[0:4]))
-			t.times = append(t.times, tm)
-		}
-		return nil
-	}
-	// v2: the trial's event column, then its time column. Decoding is
-	// chunked so a hostile header cannot force a large allocation
-	// before its bytes actually arrive.
+// readEvents appends the next n events of br to t's event column
+// (occurrences numbered from base in error messages). Decoding is
+// chunked so a hostile header cannot force a large allocation before
+// its bytes actually arrive.
+func readEvents(br *bufio.Reader, t *Table, n, base uint64) error {
 	const chunkOcc = 1 << 16
+	buf := make([]byte, 4*min64(n, chunkOcc))
 	for done := uint64(0); done < n; {
 		c := min64(n-done, chunkOcc)
-		if cap(d.scratch) < int(c*4) {
-			d.scratch = make([]byte, c*4)
-		}
-		buf := d.scratch[:c*4]
-		if _, err := io.ReadFull(d.br, buf); err != nil {
+		if _, err := io.ReadFull(br, buf[:c*4]); err != nil {
 			return fmt.Errorf("%w: truncated events at occurrence %d: %v", ErrCorrupt, base+done, err)
 		}
 		for i := uint64(0); i < c; i++ {
@@ -540,29 +456,11 @@ func (d *payloadDecoder) readTrial(t *Table, n uint64, base uint64) error {
 		}
 		done += c
 	}
-	for done := uint64(0); done < n; {
-		c := min64(n-done, chunkOcc)
-		if cap(d.scratch) < int(c*8) {
-			d.scratch = make([]byte, c*8)
-		}
-		buf := d.scratch[:c*8]
-		if _, err := io.ReadFull(d.br, buf); err != nil {
-			return fmt.Errorf("%w: truncated times at occurrence %d: %v", ErrCorrupt, base+done, err)
-		}
-		for i := uint64(0); i < c; i++ {
-			tm := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-			if err := checkTime(tm, base+done+i); err != nil {
-				return err
-			}
-			t.times = append(t.times, tm)
-		}
-		done += c
-	}
 	return nil
 }
 
-// Read deserialises a table written by WriteTo (current or v1 format),
-// validating structure.
+// Read deserialises a table written by WriteTo, validating structure;
+// like Map, it rejects bytes after the event column.
 func Read(rd io.Reader) (*Table, error) {
 	br := bufio.NewReaderSize(rd, 1<<20)
 	h, err := readHeader(br)
@@ -577,16 +475,12 @@ func Read(rd io.Reader) (*Table, error) {
 	// as bytes actually arrive, so a corrupt or hostile header cannot
 	// trigger a huge allocation.
 	const preallocCap = 1 << 20
-	t := &Table{
-		bounds: bounds,
-		events: make([]uint32, 0, min64(h.numOcc, preallocCap)),
-		times:  make([]float64, 0, min64(h.numOcc, preallocCap)),
+	t := &Table{bounds: bounds, events: make([]uint32, 0, min64(h.numOcc, preallocCap))}
+	if err := readEvents(br, t, h.numOcc, 0); err != nil {
+		return nil, err
 	}
-	dec := &payloadDecoder{br: br, version: h.version}
-	for i := uint64(0); i < h.numTrials; i++ {
-		if err := dec.readTrial(t, bounds[i+1]-bounds[i], bounds[i]); err != nil {
-			return nil, err
-		}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("%w: bytes after the event column", ErrCorrupt)
 	}
 	return t, nil
 }
@@ -597,7 +491,3 @@ func min64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// occurrenceSize is the packed size of one row-view Occurrence, asserted
-// in tests to guard the memory math of row-oriented consumers.
-const occurrenceSize = unsafe.Sizeof(Occurrence{})

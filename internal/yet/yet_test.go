@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,31 +38,8 @@ func TestGenerateBasicShape(t *testing.T) {
 func TestGenerateFixedEvents(t *testing.T) {
 	tab := genTable(t, Config{Seed: 2, Trials: 50, FixedEvents: 37}, 500)
 	for i := 0; i < tab.NumTrials(); i++ {
-		if len(tab.Trial(i)) != 37 {
-			t.Fatalf("trial %d has %d events, want 37", i, len(tab.Trial(i)))
-		}
-	}
-}
-
-func TestTrialsSortedByTime(t *testing.T) {
-	tab := genTable(t, Config{Seed: 3, Trials: 200, MeanEvents: 30}, 1000)
-	for i := 0; i < tab.NumTrials(); i++ {
-		trial := tab.Trial(i)
-		for j := 1; j < len(trial); j++ {
-			if trial[j].Time < trial[j-1].Time {
-				t.Fatalf("trial %d not time-ordered at %d", i, j)
-			}
-		}
-	}
-}
-
-func TestTimestampsInYear(t *testing.T) {
-	tab := genTable(t, Config{Seed: 4, Trials: 100, MeanEvents: 20}, 100)
-	for i := 0; i < tab.NumTrials(); i++ {
-		for _, o := range tab.Trial(i) {
-			if o.Time < 0 || o.Time >= 1 {
-				t.Fatalf("timestamp %v outside [0,1)", o.Time)
-			}
+		if len(tab.TrialEvents(i)) != 37 {
+			t.Fatalf("trial %d has %d events, want 37", i, len(tab.TrialEvents(i)))
 		}
 	}
 }
@@ -70,9 +48,9 @@ func TestEventIDsWithinCatalog(t *testing.T) {
 	const n = 321
 	tab := genTable(t, Config{Seed: 5, Trials: 100, MeanEvents: 40}, n)
 	for i := 0; i < tab.NumTrials(); i++ {
-		for _, o := range tab.Trial(i) {
-			if int(o.Event) >= n {
-				t.Fatalf("event %d outside catalog %d", o.Event, n)
+		for _, ev := range tab.TrialEvents(i) {
+			if int(ev) >= n {
+				t.Fatalf("event %d outside catalog %d", ev, n)
 			}
 		}
 	}
@@ -81,13 +59,8 @@ func TestEventIDsWithinCatalog(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a := genTable(t, Config{Seed: 6, Trials: 50, MeanEvents: 25}, 777)
 	b := genTable(t, Config{Seed: 6, Trials: 50, MeanEvents: 25}, 777)
-	if a.NumOccurrences() != b.NumOccurrences() {
-		t.Fatal("sizes differ")
-	}
-	for i := range a.events {
-		if a.events[i] != b.events[i] || a.times[i] != b.times[i] {
-			t.Fatalf("occurrence %d differs", i)
-		}
+	if !slices.Equal(a.bounds, b.bounds) || !slices.Equal(a.events, b.events) {
+		t.Fatal("same config generated different tables")
 	}
 }
 
@@ -97,14 +70,8 @@ func TestTrialsIndependentOfTableSize(t *testing.T) {
 	small := genTable(t, Config{Seed: 7, Trials: 50, MeanEvents: 25}, 777)
 	big := genTable(t, Config{Seed: 7, Trials: 100, MeanEvents: 25}, 777)
 	for i := 0; i < 50; i++ {
-		st, bt := small.Trial(i), big.Trial(i)
-		if len(st) != len(bt) {
-			t.Fatalf("trial %d lengths differ: %d vs %d", i, len(st), len(bt))
-		}
-		for j := range st {
-			if st[j] != bt[j] {
-				t.Fatalf("trial %d occurrence %d differs", i, j)
-			}
+		if !slices.Equal(small.TrialEvents(i), big.TrialEvents(i)) {
+			t.Fatalf("trial %d differs", i)
 		}
 	}
 }
@@ -128,14 +95,8 @@ func TestSlice(t *testing.T) {
 		t.Fatalf("slice trials = %d", s.NumTrials())
 	}
 	for i := 0; i < 10; i++ {
-		orig, sub := tab.Trial(5+i), s.Trial(i)
-		if len(orig) != len(sub) {
-			t.Fatalf("slice trial %d length mismatch", i)
-		}
-		for j := range orig {
-			if orig[j] != sub[j] {
-				t.Fatalf("slice trial %d occurrence %d differs", i, j)
-			}
+		if !slices.Equal(tab.TrialEvents(5+i), s.TrialEvents(i)) {
+			t.Fatalf("slice trial %d differs", i)
 		}
 	}
 }
@@ -164,11 +125,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("shape mismatch after round trip")
 	}
 	for i := 0; i < tab.NumTrials(); i++ {
-		a, b := tab.Trial(i), got.Trial(i)
-		for j := range a {
-			if a[j].Event != b[j].Event || a[j].Time != b[j].Time {
-				t.Fatalf("trial %d occurrence %d differs after round trip", i, j)
-			}
+		if !slices.Equal(tab.TrialEvents(i), got.TrialEvents(i)) {
+			t.Fatalf("trial %d differs after round trip", i)
 		}
 	}
 }
@@ -249,14 +207,8 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := 0; i < tab.NumTrials(); i++ {
-			a, b := tab.Trial(i), got.Trial(i)
-			if len(a) != len(b) {
+			if !slices.Equal(tab.TrialEvents(i), got.TrialEvents(i)) {
 				return false
-			}
-			for j := range a {
-				if a[j].Event != b[j].Event || a[j].Time != b[j].Time {
-					return false
-				}
 			}
 		}
 		return true
@@ -271,25 +223,6 @@ func TestUniformSource(t *testing.T) {
 	if src.NumEvents() != 17 {
 		t.Fatalf("NumEvents = %d", src.NumEvents())
 	}
-}
-
-func TestOccurrenceSize(t *testing.T) {
-	// The flat layout assumes 16-byte occurrences (paper's 3.2-6GB
-	// sizing for 800M-1500M occurrences is based on dense packing).
-	var o Occurrence
-	if got := int(16); got != 16 {
-		t.Fatal("unreachable")
-	}
-	_ = o
-	if s := int(unsafeSizeof()); s != 16 {
-		t.Fatalf("Occurrence size = %d, want 16", s)
-	}
-}
-
-func unsafeSizeof() uintptr {
-	var o Occurrence
-	_ = o
-	return occurrenceSize
 }
 
 func TestMeanTrialLenEmpty(t *testing.T) {
@@ -316,7 +249,7 @@ func TestNegativeBinomialOverdispersion(t *testing.T) {
 	counts := make([]float64, tab.NumTrials())
 	var sum float64
 	for i := range counts {
-		counts[i] = float64(len(tab.Trial(i)))
+		counts[i] = float64(tab.TrialLen(i))
 		sum += counts[i]
 	}
 	m := sum / float64(len(counts))
@@ -342,11 +275,11 @@ func TestPoissonNotOverdispersed(t *testing.T) {
 	var sum, ss float64
 	n := tab.NumTrials()
 	for i := 0; i < n; i++ {
-		sum += float64(len(tab.Trial(i)))
+		sum += float64(tab.TrialLen(i))
 	}
 	m := sum / float64(n)
 	for i := 0; i < n; i++ {
-		d := float64(len(tab.Trial(i))) - m
+		d := float64(tab.TrialLen(i)) - m
 		ss += d * d
 	}
 	if ratio := ss / float64(n) / m; ratio > 1.25 {
@@ -367,55 +300,41 @@ func (s perilTestSource) PerilOf(id catalog.EventID) catalog.Peril {
 }
 
 func TestSeasonalTimestamps(t *testing.T) {
-	tab, err := Generate(perilTestSource{n: 100}, Config{
-		Seed: 43, Trials: 400, MeanEvents: 50, Seasonal: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hSum, eSum float64
-	var hN, eN int
-	for i := 0; i < tab.NumTrials(); i++ {
-		for _, o := range tab.Trial(i) {
-			if o.Time < 0 || o.Time >= 1 {
-				t.Fatalf("seasonal timestamp %v outside [0,1)", o.Time)
-			}
-			if o.Event%2 == 0 {
-				hSum += o.Time
-				hN++
-			} else {
-				eSum += o.Time
-				eN++
-			}
+	r := rng.New(43)
+	mean := func(p catalog.Peril) float64 {
+		const n = 20000
+		var sum float64
+		for i := 0; i < n; i++ {
+			sum += seasonalTime(r, p)
 		}
+		return sum / n
 	}
-	hMean := hSum / float64(hN)
-	eMean := eSum / float64(eN)
 	// Hurricanes bunch late in the year (Beta(9,4) mean ~0.69);
 	// earthquakes are uniform (~0.5).
-	if hMean < 0.62 || hMean > 0.76 {
-		t.Fatalf("hurricane season mean = %v, want ~0.69", hMean)
+	if m := mean(catalog.Hurricane); m < 0.62 || m > 0.76 {
+		t.Fatalf("hurricane season mean = %v, want ~0.69", m)
 	}
-	if math.Abs(eMean-0.5) > 0.05 {
-		t.Fatalf("earthquake time mean = %v, want ~0.5", eMean)
+	if m := mean(catalog.Earthquake); math.Abs(m-0.5) > 0.05 {
+		t.Fatalf("earthquake time mean = %v, want ~0.5", m)
 	}
 }
 
+// hurricaneSource is UniformSource with every event a hurricane.
+type hurricaneSource struct{ uniformSource }
+
+func (hurricaneSource) PerilOf(catalog.EventID) catalog.Peril { return catalog.Hurricane }
+
 func TestSeasonalWithoutPerilSource(t *testing.T) {
-	// UniformSource has no perils: a shared (hurricane) profile applies.
-	tab, err := Generate(UniformSource(100), Config{
-		Seed: 44, Trials: 100, MeanEvents: 40, Seasonal: true,
-	})
+	// UniformSource has no perils: the shared (hurricane) profile orders
+	// its events, exactly as for a source whose every event is one.
+	cfg := Config{Seed: 44, Trials: 100, MeanEvents: 40, Seasonal: true}
+	plain := genTable(t, cfg, 100)
+	hurricanes, err := Generate(hurricaneSource{uniformSource{n: 100}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < tab.NumTrials(); i++ {
-		trial := tab.Trial(i)
-		for j := 1; j < len(trial); j++ {
-			if trial[j].Time < trial[j-1].Time {
-				t.Fatal("seasonal trial not time-ordered")
-			}
-		}
+	if !slices.Equal(plain.bounds, hurricanes.bounds) || !slices.Equal(plain.events, hurricanes.events) {
+		t.Fatal("seasonal table without perils differs from the all-hurricane one")
 	}
 }
 
@@ -449,14 +368,8 @@ func TestGenerateRangeMatchesFullTableSlice(t *testing.T) {
 			t.Fatalf("[%d,%d): %d trials, want %d", lo, hi, shard.NumTrials(), want.NumTrials())
 		}
 		for i := 0; i < shard.NumTrials(); i++ {
-			got, exp := shard.Trial(i), want.Trial(i)
-			if len(got) != len(exp) {
-				t.Fatalf("[%d,%d) trial %d: %d occurrences, want %d", lo, hi, i, len(got), len(exp))
-			}
-			for j := range got {
-				if got[j].Event != exp[j].Event || got[j].Time != exp[j].Time {
-					t.Fatalf("[%d,%d) trial %d occ %d: %+v != %+v", lo, hi, i, j, got[j], exp[j])
-				}
+			if got, exp := shard.TrialEvents(i), want.TrialEvents(i); !slices.Equal(got, exp) {
+				t.Fatalf("[%d,%d) trial %d: %v != %v", lo, hi, i, got, exp)
 			}
 		}
 	}

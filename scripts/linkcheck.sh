@@ -11,6 +11,9 @@
 #   - links containing parentheses — [spec](spec_(v2).md) — are parsed
 #     with one level of nesting instead of being truncated at the first
 #     ")".
+#
+# It also checks that every *.md path cited in a non-test .go file
+# exists, beside the citing file or from the repo root.
 set -euo pipefail
 shopt -s nullglob
 
@@ -55,6 +58,17 @@ for f in "${files[@]}"; do
     fi
   done < <(grep -oE '`(cmd|docs|examples|internal|scripts|bench)/[A-Za-z0-9_./-]*`' "$f" | tr -d '`' || true)
 done
+
+# Markdown files cited from Go comments must exist too.
+while IFS= read -r -d '' gofile; do
+  dir=$(dirname "$gofile")
+  while IFS= read -r path; do
+    if [ ! -e "$dir/$path" ] && [ ! -e "$path" ]; then
+      echo "$gofile: cites missing file $path"
+      fail=1
+    fi
+  done < <(grep -oE '[A-Za-z0-9_./-]+\.md\b' "$gofile" | sort -u || true)
+done < <(find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' -print0)
 
 if [ "$fail" -ne 0 ]; then
   echo "linkcheck: failures found" >&2
