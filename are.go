@@ -241,7 +241,7 @@ type (
 	// memory per layer.
 	SummarySink = metrics.SummarySink
 	// EPSink estimates per-layer PML points at fixed return periods
-	// online via mergeable compacting quantile sketches.
+	// online via compacting quantile sketches.
 	EPSink = metrics.EPSink
 )
 
@@ -276,11 +276,11 @@ func NewSummarySink() *SummarySink { return metrics.NewSummarySink() }
 
 // NewEPSink returns an online exceedance-curve sink estimating PML at
 // the given return periods (nil or empty means StandardReturnPeriods)
-// via mergeable compacting quantile sketches: deep-tail points (return
-// period above trials/1024) are exact, the rest carry a guaranteed
-// sub-percent rank-error bound. Sink states merge across shards (see
-// metrics.EPSink.State/Merge), which is what the distributed
-// coordinator uses to combine partial runs.
+// via compacting quantile sketches: each point is the order statistic
+// of rank ceil((1-1/rp) * trials), exact for return periods above
+// trials/1024 and within a guaranteed sub-percent rank-error bound
+// below that. EPCurve interpolates between order statistics, so the
+// two agree only approximately.
 func NewEPSink(returnPeriods []float64) *EPSink { return metrics.NewEPSink(returnPeriods) }
 
 // ---------------------------------------------------------------------------

@@ -197,9 +197,10 @@ func main() {
 // runOnline is the bounded-memory run path: the serialised YET streams
 // through the engine's pipeline into online sinks, so memory stays
 // O(batch + layers) no matter how many trials the file holds. PML
-// figures are quantile-sketch estimates (deep-tail points exact,
-// sub-percent rank error elsewhere);
-// TVaR and premium quotes need the full YLT and are omitted.
+// figures are quantile-sketch estimates: uninterpolated order
+// statistics whose rank is exact in the deep tail and within a
+// sub-percent rank error elsewhere. TVaR and premium quotes need the
+// full YLT and are omitted.
 func runOnline(eng *are.Engine, p *are.Portfolio, yetPath string, batch int, opt are.Options) {
 	f, err := os.Open(yetPath)
 	if err != nil {

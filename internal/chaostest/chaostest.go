@@ -18,14 +18,11 @@
 // network, waits for every outstanding job to reach a terminal state,
 // and asserts the invariants the repository pins elsewhere in-process:
 //
-//   - completed quoted jobs price bitwise-identically to a single-node
-//     library run of the same spec (quotes are a deterministic function
-//     of the reassembled FullYLT, so bitwise quote equality certifies
-//     bitwise YLT reassembly across the wire);
-//   - jobs executed on a single node (direct-to-worker submissions)
-//     reproduce the library run bitwise in every reported float;
-//   - distributed EP curves sit within the documented mergeable-sketch
-//     rank bound of the exact empirical curve;
+//   - every completed job, sharded by the coordinator or run on one
+//     worker, reproduces a single-node library run of the same spec
+//     bitwise in every reported float: every number renders from the
+//     YLT, and the reassembled one is bitwise the local one, so equal
+//     results certify bitwise reassembly across the wire;
 //   - every submitted job reaches exactly one terminal state — once a
 //     job is observed done/failed/cancelled it never changes state, and
 //     a done job's result bytes never change (no loss, no

@@ -85,9 +85,9 @@ func (g *jobGen) base(quoted bool) *spec.Job {
 			Trials:     200 + r.Intn(g.maxTrials-199),
 			MeanEvents: float64(10 + r.Intn(30)),
 		},
-		// Workers pinned to 1: with a sequential pipeline every sink
-		// state is a deterministic function of the spec, which is what
-		// lets the oracle demand bitwise-identical results end to end.
+		// Workers pinned to 1 bounds each job's CPU share on a cluster of
+		// several daemons. Results do not depend on it: every number
+		// renders from the trial-indexed YLT.
 		Workers: 1,
 		Lookup:  chaosLookups[r.Intn(len(chaosLookups))],
 	}

@@ -4,54 +4,36 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
 	"github.com/ralab/are/internal/artifact"
-	"github.com/ralab/are/internal/metrics"
 	"github.com/ralab/are/internal/server"
 	"github.com/ralab/are/internal/spec"
 )
 
 // oracle computes and caches the expected result for every distinct job
 // spec in the run — an in-process single-node execution through the
-// exact code path the service's scheduler uses (server.RunLocal). The
-// cluster's answers are held to these, under two regimes:
-//
-//   - single-node regime (jobs submitted directly to one worker, which
-//     all carry workers:1): every reported float must be bitwise
-//     identical — same engine, same sequential pass, no excuse;
-//   - distributed regime (jobs fanned out by the coordinator): the
-//     reassembled FullYLT is bitwise by contract, so everything priced
-//     from it (the quotes) must be bitwise too, and the exact summary
-//     fields (trials, min, max) must match; the merged moments carry
-//     float-summation tolerance and the merged EP curves must sit
-//     within the documented mergeable-sketch rank bound of the exact
-//     empirical quantiles.
+// exact code path the service's scheduler uses (server.RunLocal). Every
+// result the cluster serves is rendered from a YLT that is bitwise the
+// oracle's — filled by one worker's pass, or reassembled by the
+// coordinator from shards — so every reported float must be bitwise
+// identical, whichever process ran the job and at whatever engine
+// worker count.
 type oracle struct {
 	cache *artifact.Cache
 
 	mu   sync.Mutex
-	runs map[string]*oracleRun
-}
-
-type oracleRun struct {
-	res *server.JobResult
-	// Exact empirical per-layer loss vectors, ascending — the rank
-	// windows for merged EP curves are cut from these. Nil for sweeps
-	// (sweeps never fan out).
-	sortedAgg [][]float64
-	sortedOcc [][]float64
+	runs map[string]*server.JobResult
 }
 
 func newOracle() *oracle {
-	return &oracle{cache: artifact.NewCache(64), runs: make(map[string]*oracleRun)}
+	return &oracle{cache: artifact.NewCache(64), runs: make(map[string]*server.JobResult)}
 }
 
 // run returns the expected result for specJSON, computing it on first
 // use.
-func (o *oracle) run(specJSON string) (*oracleRun, error) {
+func (o *oracle) run(specJSON string) (*server.JobResult, error) {
 	o.mu.Lock()
 	r, ok := o.runs[specJSON]
 	o.mu.Unlock()
@@ -62,20 +44,9 @@ func (o *oracle) run(specJSON string) (*oracleRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: parse: %w", err)
 	}
-	res, full, err := server.RunLocal(context.Background(), o.cache, js)
+	r, _, err = server.RunLocal(context.Background(), o.cache, js)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: run: %w", err)
-	}
-	r = &oracleRun{res: res}
-	if full != nil {
-		r.sortedAgg = make([][]float64, len(full.AggLoss))
-		r.sortedOcc = make([][]float64, len(full.MaxOccLoss))
-		for l := range full.AggLoss {
-			r.sortedAgg[l] = append([]float64(nil), full.AggLoss[l]...)
-			sort.Float64s(r.sortedAgg[l])
-			r.sortedOcc[l] = append([]float64(nil), full.MaxOccLoss[l]...)
-			sort.Float64s(r.sortedOcc[l])
-		}
 	}
 	o.mu.Lock()
 	o.runs[specJSON] = r
@@ -87,15 +58,6 @@ func (o *oracle) run(specJSON string) (*oracleRun, error) {
 // passes or fails by NaN accident.
 func eqF(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// relDiff is |a-b| relative to |b| (absolute when b is ~0).
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if math.Abs(b) > 1 {
-		return d / math.Abs(b)
-	}
-	return d
 }
 
 func eqSummary(got, want server.SummaryJSON) error {
@@ -134,7 +96,7 @@ func eqQuote(got, want *server.QuoteJSON) error {
 	return nil
 }
 
-// eqLayerExact is the single-node regime: every field bitwise.
+// eqLayerExact holds one layer to the oracle's: every field bitwise.
 func eqLayerExact(got, want server.LayerResult) error {
 	if got.ID != want.ID || got.Name != want.Name {
 		return fmt.Errorf("layer identity %d/%q != %d/%q", got.ID, got.Name, want.ID, want.Name)
@@ -155,18 +117,32 @@ func eqLayerExact(got, want server.LayerResult) error {
 }
 
 // verifySingleNode holds a worker-direct job's result to bitwise
-// identity with the oracle, variants included.
+// identity with the oracle, and to carrying no cluster fields.
 func (o *oracle) verifySingleNode(specJSON string, got *server.JobResult) error {
-	want, err := o.run(specJSON)
+	if got.Shards != 0 || got.Retried != 0 || got.WorkersUsed != 0 {
+		return fmt.Errorf("single-node result reports cluster fields: %+v", got)
+	}
+	return o.verifyExact(specJSON, got)
+}
+
+// verifyDistributed holds a coordinator job's result to the same
+// bitwise identity, and to having really been sharded.
+func (o *oracle) verifyDistributed(specJSON string, got *server.JobResult) error {
+	if got.Shards <= 0 {
+		return fmt.Errorf("distributed result reports %d shards", got.Shards)
+	}
+	return o.verifyExact(specJSON, got)
+}
+
+// verifyExact holds a result to bitwise identity with the oracle,
+// variants included.
+func (o *oracle) verifyExact(specJSON string, got *server.JobResult) error {
+	w, err := o.run(specJSON)
 	if err != nil {
 		return err
 	}
-	w := want.res
 	if got.Trials != w.Trials {
 		return fmt.Errorf("trials %d != %d", got.Trials, w.Trials)
-	}
-	if got.Shards != 0 || got.Retried != 0 || got.WorkersUsed != 0 {
-		return fmt.Errorf("single-node result reports cluster fields: %+v", got)
 	}
 	if len(got.Layers) != len(w.Layers) {
 		return fmt.Errorf("%d layers, want %d", len(got.Layers), len(w.Layers))
@@ -191,93 +167,6 @@ func (o *oracle) verifySingleNode(specJSON string, got *server.JobResult) error 
 			if err := eqLayerExact(gv.Layers[i], wv.Layers[i]); err != nil {
 				return fmt.Errorf("variant %d layer %d: %w", k, i, err)
 			}
-		}
-	}
-	return nil
-}
-
-// mergedSketchH is a conservative ceiling on the merged quantile
-// sketch's compaction count for this harness's corpus. The documented
-// bound is ErrorBound = H/k with k = DefaultSketchK = 1024; chaos jobs
-// carry at most a few thousand trials split into shards of a couple of
-// hundred, so each shard sketch arrives uncompacted and the merge
-// performs only a handful of compactions — 16 is far above anything the
-// corpus can trigger while still holding the window to ~1.6% of ranks,
-// orders of magnitude tighter than any real reassembly bug.
-const mergedSketchH = 16
-
-// checkRankWindow asserts each EP point's loss lies within the sketch
-// rank bound of the exact empirical quantile cut from sorted losses.
-func checkRankWindow(points []server.PointJSON, losses []float64, n int) error {
-	slack := int(math.Ceil(float64(mergedSketchH)/float64(metrics.DefaultSketchK)*float64(n))) + 1
-	for _, p := range points {
-		if p.ReturnPeriod <= 1 {
-			continue
-		}
-		rank := int(math.Ceil((1 - 1/p.ReturnPeriod) * float64(n)))
-		lo, hi := rank-slack, rank+slack
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > n {
-			hi = n
-		}
-		if p.Loss < losses[lo-1] || p.Loss > losses[hi-1] {
-			return fmt.Errorf("rp=%v: merged EP loss %v outside exact rank window [%v, %v]",
-				p.ReturnPeriod, p.Loss, losses[lo-1], losses[hi-1])
-		}
-	}
-	return nil
-}
-
-// verifyDistributed holds a coordinator job's merged result to the
-// distributed regime's contract.
-func (o *oracle) verifyDistributed(specJSON string, got *server.JobResult) error {
-	want, err := o.run(specJSON)
-	if err != nil {
-		return err
-	}
-	w := want.res
-	if got.Trials != w.Trials {
-		return fmt.Errorf("trials %d != %d", got.Trials, w.Trials)
-	}
-	if got.Shards <= 0 {
-		return fmt.Errorf("distributed result reports %d shards", got.Shards)
-	}
-	if len(got.Layers) != len(w.Layers) {
-		return fmt.Errorf("%d layers, want %d", len(got.Layers), len(w.Layers))
-	}
-	n := w.Trials
-	for i := range got.Layers {
-		g, e := got.Layers[i], w.Layers[i]
-		if g.ID != e.ID || g.Name != e.Name {
-			return fmt.Errorf("layer %d identity %d/%q != %d/%q", i, g.ID, g.Name, e.ID, e.Name)
-		}
-		for _, s := range []struct {
-			what     string
-			got, exp server.SummaryJSON
-		}{{"agg", g.Summary, e.Summary}, {"occ", g.OccSummary, e.OccSummary}} {
-			if s.got.Trials != s.exp.Trials || !eqF(s.got.Min, s.exp.Min) || !eqF(s.got.Max, s.exp.Max) {
-				return fmt.Errorf("layer %d %s exact fields: %+v != %+v", i, s.what, s.got, s.exp)
-			}
-			if relDiff(s.got.Mean, s.exp.Mean) > 1e-12 {
-				return fmt.Errorf("layer %d %s mean %v vs %v beyond merge tolerance", i, s.what, s.got.Mean, s.exp.Mean)
-			}
-			if relDiff(s.got.StdDev, s.exp.StdDev) > 1e-9 {
-				return fmt.Errorf("layer %d %s stddev %v vs %v beyond merge tolerance", i, s.what, s.got.StdDev, s.exp.StdDev)
-			}
-		}
-		if err := checkRankWindow(g.EP, want.sortedAgg[i], n); err != nil {
-			return fmt.Errorf("layer %d AEP: %w", i, err)
-		}
-		if err := checkRankWindow(g.OEP, want.sortedOcc[i], n); err != nil {
-			return fmt.Errorf("layer %d OEP: %w", i, err)
-		}
-		// Quotes are priced from the reassembled YLT, which the service
-		// guarantees bitwise — so the quote itself must be bitwise, and
-		// its equality certifies the whole reassembly over the wire.
-		if err := eqQuote(g.Quote, e.Quote); err != nil {
-			return fmt.Errorf("layer %d: %w", i, err)
 		}
 	}
 	return nil

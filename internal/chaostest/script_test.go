@@ -128,7 +128,7 @@ func TestGeneratedSpecsParse(t *testing.T) {
 				t.Fatalf("seed %d #%d: generated spec rejected: %v", seed, a.Seq, err)
 			}
 			if js.Workers != 1 {
-				t.Fatalf("seed %d #%d: corpus job has workers=%d; single-node bitwise oracle requires 1", seed, a.Seq, js.Workers)
+				t.Fatalf("seed %d #%d: corpus job has workers=%d, want the pinned 1", seed, a.Seq, js.Workers)
 			}
 			if a.Sweep != (js.Sweep != nil) {
 				t.Fatalf("seed %d #%d: sweep flag %v but spec sweep %v", seed, a.Seq, a.Sweep, js.Sweep != nil)

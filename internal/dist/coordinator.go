@@ -287,8 +287,8 @@ type outcome struct {
 }
 
 // RunJob executes one job across the live workers: plan shards,
-// dispatch, retry failures elsewhere, merge partial states in shard
-// order. progress (optional) receives cumulative trials completed.
+// dispatch, retry failures elsewhere, reassemble the shards' YLTs in
+// trial order. progress (optional) receives cumulative trials completed.
 //
 // Failure model: a shard that fails on a worker is requeued and picked
 // up by another dispatcher; a worker that fails two shards in a row is
@@ -303,7 +303,6 @@ func (c *Coordinator) RunJob(ctx context.Context, js *spec.Job, progress func(do
 	}
 	c.jobs.Add(1)
 	trials := js.YET.Trials
-	wantYLT := js.Metrics.Quotes
 	plan := shardPlan(trials, c.cfg.ShardTrials, len(workers))
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -350,7 +349,7 @@ func (c *Coordinator) RunJob(ctx context.Context, js *spec.Job, progress func(do
 						return
 					case sh = <-pending:
 					}
-					res, err := c.execRemote(ctx, w, js, sh, wantYLT)
+					res, err := c.execRemote(ctx, w, js, sh)
 					abandoning := false
 					if err != nil && ctx.Err() == nil {
 						// Failure accounting is per worker, not per slot:
@@ -419,7 +418,7 @@ func (c *Coordinator) RunJob(ctx context.Context, js *spec.Job, progress func(do
 	}
 	cancel() // release dispatchers before the merge
 
-	m, err := mergeShards(trials, results, wantYLT)
+	m, err := mergeShards(trials, results)
 	if err != nil {
 		return nil, err
 	}
@@ -430,10 +429,10 @@ func (c *Coordinator) RunJob(ctx context.Context, js *spec.Job, progress func(do
 }
 
 // execRemote round-trips one shard to a worker.
-func (c *Coordinator) execRemote(ctx context.Context, w *workerState, js *spec.Job, sh shardJob, wantYLT bool) (*ShardResult, error) {
+func (c *Coordinator) execRemote(ctx context.Context, w *workerState, js *spec.Job, sh shardJob) (*ShardResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
-	res, err := postShard(ctx, c.cfg.Client, w.url+"/v1/shards", ShardRequest{Job: js, Lo: sh.lo, Hi: sh.hi, WantYLT: wantYLT})
+	res, err := postShard(ctx, c.cfg.Client, w.url+"/v1/shards", ShardRequest{Job: js, Lo: sh.lo, Hi: sh.hi})
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/ralab/are/internal/core"
 	"github.com/ralab/are/internal/metrics"
 )
 
@@ -38,51 +40,60 @@ func TestShardPlan(t *testing.T) {
 	}
 }
 
-// fakeShard builds a structurally valid shard result over [lo, hi).
-func fakeShard(t *testing.T, lo, hi int) *ShardResult {
-	t.Helper()
-	sum := metrics.NewSummarySink()
-	ep := metrics.NewEPSink(nil)
-	ids := []uint32{1}
-	if err := sum.Begin(ids, hi-lo); err != nil {
-		t.Fatal(err)
+// fakeShard builds a structurally valid shard result over [lo, hi):
+// trial i loses i, and its largest occurrence i/2.
+func fakeShard(lo, hi int) *ShardResult {
+	st := &core.YLTState{
+		LayerIDs:   []uint32{1},
+		NumTrials:  hi - lo,
+		AggLoss:    [][]float64{make([]float64, hi-lo)},
+		MaxOccLoss: [][]float64{make([]float64, hi-lo)},
 	}
-	if err := ep.Begin(ids, hi-lo); err != nil {
-		t.Fatal(err)
+	for i := range hi - lo {
+		st.AggLoss[0][i] = float64(lo + i)
+		st.MaxOccLoss[0][i] = float64(lo+i) / 2
 	}
-	for i := 0; i < hi-lo; i++ {
-		sum.Emit(0, i, float64(lo+i), float64(lo+i)/2)
-		ep.Emit(0, i, float64(lo+i), float64(lo+i)/2)
-	}
-	return &ShardResult{Lo: lo, Hi: hi, LayerIDs: ids, Summary: sum.State(), EP: ep.State()}
+	return &ShardResult{Lo: lo, Hi: hi, LayerIDs: st.LayerIDs, YLT: st}
 }
 
 func TestMergeShardsRejectsBadTilings(t *testing.T) {
+	noYLT := fakeShard(0, 10)
+	noYLT.YLT = nil
+	short := fakeShard(0, 10)
+	short.Hi = 11
 	cases := map[string][]*ShardResult{
-		"none":    {},
-		"gap":     {fakeShard(t, 0, 5), fakeShard(t, 6, 10)},
-		"overlap": {fakeShard(t, 0, 6), fakeShard(t, 5, 10)},
-		"short":   {fakeShard(t, 0, 5)},
+		"none":       {},
+		"gap":        {fakeShard(0, 5), fakeShard(6, 10)},
+		"overlap":    {fakeShard(0, 6), fakeShard(5, 10)},
+		"short":      {fakeShard(0, 5)},
+		"missingYLT": {noYLT},
+		"rangeLie":   {short},
 	}
 	for name, shards := range cases {
-		if _, err := mergeShards(10, shards, false); err == nil {
+		if _, err := mergeShards(10, shards); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := mergeShards(10, []*ShardResult{fakeShard(t, 5, 10), fakeShard(t, 0, 5)}, false); err != nil {
+	if _, err := mergeShards(10, []*ShardResult{fakeShard(5, 10), fakeShard(0, 5)}); err != nil {
 		t.Errorf("out-of-order arrival rejected: %v", err)
-	}
-	if _, err := mergeShards(10, []*ShardResult{fakeShard(t, 0, 10)}, true); err == nil {
-		t.Error("missing YLT accepted when wantYLT")
 	}
 }
 
+// TestMergeShardsSummaryExact: out-of-order shards reassemble into the
+// table one pass would fill, so the summary rendered from it is exact.
 func TestMergeShardsSummaryExact(t *testing.T) {
-	m, err := mergeShards(10, []*ShardResult{fakeShard(t, 5, 10), fakeShard(t, 0, 5)}, false)
+	m, err := mergeShards(10, []*ShardResult{fakeShard(5, 10), fakeShard(0, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Summary.Summary(0)
+	whole := fakeShard(0, 10).YLT
+	if !reflect.DeepEqual(m.Result.AggLoss, whole.AggLoss) || !reflect.DeepEqual(m.Result.MaxOccLoss, whole.MaxOccLoss) {
+		t.Fatalf("reassembled table %v", m.Result.AggLoss)
+	}
+	s, err := metrics.Summarise(m.Result.YLT(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Trials != 10 || s.Min != 0 || s.Max != 9 || s.Mean != 4.5 {
 		t.Fatalf("merged summary %+v", s)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/ralab/are/internal/artifact"
 	"github.com/ralab/are/internal/core"
-	"github.com/ralab/are/internal/metrics"
 )
 
 // ExecShard runs one shard request on this process — the worker side of
@@ -14,13 +13,10 @@ import (
 // shard's trials from a resident full table when one is cached
 // (core.NewTableRangeSource) and otherwise materialises only the shard
 // (artifact.ShardFor → yet.GenerateRange), compiles the engine through
-// the same cache the worker's direct jobs use, and streams the shard
-// through fresh online sinks whose exported states are the response.
-//
-// The returned YLT (when requested) and the summary moments are exact;
-// the EP sketch states carry the documented QuantileSketch bound. All
-// of it is bitwise reproducible: re-executing the same shard anywhere
-// yields the same response body.
+// the same cache the worker's direct jobs use, and materialises the
+// shard's Year Loss Tables: the response, and all the coordinator
+// needs. Each cell is a pure function of its trial, so re-executing the
+// same shard anywhere, at any worker count, yields the same bytes.
 func ExecShard(ctx context.Context, cache *artifact.Cache, req ShardRequest, defaultWorkers int) (*ShardResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -55,15 +51,7 @@ func ExecShard(ctx context.Context, cache *artifact.Cache, req ShardRequest, def
 		return nil, err
 	}
 
-	sum := metrics.NewSummarySink()
-	ep := metrics.NewEPSink(js.Metrics.ReturnPeriods)
-	sinks := core.MultiSink{sum, ep}
-	var full *core.FullYLT
-	if req.WantYLT {
-		full = core.NewFullYLT()
-		sinks = append(sinks, full)
-	}
-
+	full := core.NewFullYLT()
 	workers := js.Workers
 	if workers <= 0 {
 		workers = defaultWorkers
@@ -78,26 +66,21 @@ func ExecShard(ctx context.Context, cache *artifact.Cache, req ShardRequest, def
 		opt.Uncertainty = u
 	}
 	start := time.Now()
-	if _, err := eng.Eng.RunPipelineContext(ctx, src, sinks, opt); err != nil {
+	if _, err := eng.Eng.RunPipelineContext(ctx, src, full, opt); err != nil {
 		return nil, err
 	}
 
-	res := &ShardResult{
+	st, err := full.State()
+	if err != nil {
+		return nil, err
+	}
+	return &ShardResult{
 		Lo:           req.Lo,
 		Hi:           req.Hi,
 		LayerIDs:     eng.Eng.LayerIDs(),
-		Summary:      sum.State(),
-		EP:           ep.State(),
+		YLT:          &st,
 		ElapsedMS:    time.Since(start).Milliseconds(),
 		YETCached:    yetHit,
 		EngineCached: engineHit,
-	}
-	if full != nil {
-		st, err := full.State()
-		if err != nil {
-			return nil, err
-		}
-		res.YLT = &st
-	}
-	return res, nil
+	}, nil
 }

@@ -2,95 +2,42 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/ralab/are/internal/core"
-	"github.com/ralab/are/internal/metrics"
 )
 
-// Merged is a cluster execution folded back into single-node shape:
-// reconstructed online sinks (render summaries and EP curves exactly as
-// a local run's would) plus, when the job needed it, the reassembled
-// bitwise-identical Result.
+// Merged is a cluster execution folded back into single-node shape: the
+// reassembled Result, bitwise the Year Loss Tables one local pass over
+// every trial fills, from which the coordinator renders the job exactly
+// as a local run renders its own.
 type Merged struct {
-	Trials   int
-	LayerIDs []uint32
-	Summary  *metrics.SummarySink
-	EP       *metrics.EPSink
-	Result   *core.Result // non-nil only when shards carried YLTs
+	Trials int
+	Result *core.Result
 
 	Shards      int // shards planned
 	Retried     int // dispatch attempts that failed and were retried
 	WorkersUsed int // distinct workers that completed at least one shard
 }
 
-// mergeShards folds per-shard partial states into one Merged. Shards
-// are merged in trial order regardless of completion order, so the
-// output is deterministic for a given shard plan: moments merge exactly
-// (Chan et al.), EP sketches merge within their documented bound, and
-// YLT rows reassemble bitwise. The shards must tile [0, trials)
-// exactly and agree on layer identity — violations mean lost or
-// duplicated work and fail the job rather than skewing its numbers.
-func mergeShards(trials int, results []*ShardResult, wantYLT bool) (*Merged, error) {
-	if len(results) == 0 {
-		return nil, fmt.Errorf("dist: no shard results to merge")
-	}
-	ordered := append([]*ShardResult(nil), results...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
-
-	first := ordered[0]
-	next := 0
-	for _, r := range ordered {
-		if r.Lo != next {
-			return nil, fmt.Errorf("dist: merge: gap or overlap at trial %d (shard starts at %d)", next, r.Lo)
+// mergeShards reassembles per-shard YLTs into one Merged, in trial
+// order whatever the completion order. The shards must tile [0, trials)
+// exactly and agree on layer identity (core.AssembleResult checks both)
+// — violations mean lost or duplicated work and fail the job rather
+// than skewing its numbers.
+func mergeShards(trials int, results []*ShardResult) (*Merged, error) {
+	shards := make([]core.ShardYLT, 0, len(results))
+	for _, r := range results {
+		if r.YLT == nil {
+			return nil, fmt.Errorf("dist: merge: shard [%d, %d) is missing its YLT", r.Lo, r.Hi)
 		}
-		if len(r.LayerIDs) != len(first.LayerIDs) {
-			return nil, fmt.Errorf("dist: merge: layer count mismatch in shard [%d, %d)", r.Lo, r.Hi)
+		if r.YLT.NumTrials != r.Hi-r.Lo {
+			return nil, fmt.Errorf("dist: merge: shard [%d, %d) carries %d trials", r.Lo, r.Hi, r.YLT.NumTrials)
 		}
-		for l, id := range r.LayerIDs {
-			if id != first.LayerIDs[l] {
-				return nil, fmt.Errorf("dist: merge: layer ID mismatch in shard [%d, %d)", r.Lo, r.Hi)
-			}
-		}
-		next = r.Hi
+		shards = append(shards, core.ShardYLT{Lo: r.Lo, State: *r.YLT})
 	}
-	if next != trials {
-		return nil, fmt.Errorf("dist: merge: shards cover %d of %d trials", next, trials)
-	}
-
-	summary := metrics.SummarySinkFromState(first.Summary)
-	ep, err := metrics.EPSinkFromState(first.EP)
+	res, err := core.AssembleResult(trials, shards)
 	if err != nil {
-		return nil, fmt.Errorf("dist: merge shard [%d, %d): %w", first.Lo, first.Hi, err)
+		return nil, fmt.Errorf("dist: merge: %w", err)
 	}
-	for _, r := range ordered[1:] {
-		if err := summary.Merge(r.Summary); err != nil {
-			return nil, fmt.Errorf("dist: merge shard [%d, %d): %w", r.Lo, r.Hi, err)
-		}
-		if err := ep.Merge(r.EP); err != nil {
-			return nil, fmt.Errorf("dist: merge shard [%d, %d): %w", r.Lo, r.Hi, err)
-		}
-	}
-
-	m := &Merged{
-		Trials:   trials,
-		LayerIDs: append([]uint32(nil), first.LayerIDs...),
-		Summary:  summary,
-		EP:       ep,
-	}
-	if wantYLT {
-		shards := make([]core.ShardYLT, 0, len(ordered))
-		for _, r := range ordered {
-			if r.YLT == nil {
-				return nil, fmt.Errorf("dist: merge: shard [%d, %d) is missing its YLT", r.Lo, r.Hi)
-			}
-			shards = append(shards, core.ShardYLT{Lo: r.Lo, State: *r.YLT})
-		}
-		res, err := core.AssembleResult(trials, shards)
-		if err != nil {
-			return nil, err
-		}
-		m.Result = res
-	}
-	return m, nil
+	return &Merged{Trials: trials, Result: res}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"github.com/ralab/are/internal/core"
-	"github.com/ralab/are/internal/metrics"
 	"github.com/ralab/are/internal/spec"
 )
 
@@ -25,10 +24,9 @@ type ShardRequest struct {
 	Lo  int       `json:"lo"`
 	Hi  int       `json:"hi"`
 
-	// WantYLT asks for the shard's materialised Year Loss Tables in
-	// addition to the online sink states — needed when the coordinator
-	// must price quotes (exact quantiles) or reproduce the single-node
-	// Result bitwise.
+	// WantYLT is ignored: every shard ships its Year Loss Tables, the
+	// only thing a coordinator renders from. The field stays so that
+	// older callers still compile and decode.
 	WantYLT bool `json:"wantYlt,omitempty"`
 }
 
@@ -46,17 +44,13 @@ func (r *ShardRequest) Validate() error {
 	return nil
 }
 
-// ShardResult is one executed shard's partial state: serialisable
-// snapshots of the online sinks, plus the materialised tables when the
-// request asked for them.
+// ShardResult is one executed shard: its materialised Year Loss
+// Tables over [Lo, Hi), plus the facts of how the worker ran it.
 type ShardResult struct {
-	Lo       int      `json:"lo"`
-	Hi       int      `json:"hi"`
-	LayerIDs []uint32 `json:"layerIds"`
-
-	Summary metrics.SummarySinkState `json:"summary"`
-	EP      metrics.EPState          `json:"ep"`
-	YLT     *core.YLTState           `json:"ylt,omitempty"`
+	Lo       int            `json:"lo"`
+	Hi       int            `json:"hi"`
+	LayerIDs []uint32       `json:"layerIds"`
+	YLT      *core.YLTState `json:"ylt,omitempty"`
 
 	ElapsedMS    int64 `json:"elapsedMs"`
 	YETCached    bool  `json:"yetCached"`

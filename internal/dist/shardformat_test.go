@@ -39,7 +39,7 @@ func TestShardPayloadsRoundTrip(t *testing.T) {
 
 	// The worker-side execution of the shard...
 	res, err := dist.ExecShard(context.Background(), cache, dist.ShardRequest{
-		Job: js, Lo: lo, Hi: hi, WantYLT: true,
+		Job: js, Lo: lo, Hi: hi,
 	}, 1)
 	if err != nil {
 		t.Fatal(err)

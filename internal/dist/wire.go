@@ -9,7 +9,7 @@ package dist
 // column data:
 //
 //	offset 0  magic "ARSB"
-//	       4  version byte (1)
+//	       4  version byte (2)
 //	       5  flags byte (bit 0: YLT section present)
 //	       6  uint32 LE header length H
 //	      10  H bytes of JSON: ShardResult with the ylt field omitted
@@ -22,6 +22,9 @@ package dist
 // Floats travel as their exact IEEE-754 bits, so a binary round trip is
 // bitwise identical by construction — the same guarantee the JSON path
 // gets from strconv's shortest-form round-tripping, minus the parsing.
+// Version 1 headers also carried online-sink states (summary, ep);
+// version 2 dropped them, because the YLT is all a coordinator renders
+// from, and a peer of the other version fails its decode closed.
 // Content negotiation: a coordinator advertises the format with
 // `Accept: application/x-are-shard`; workers that predate it (or a
 // request without the header) answer JSON, and the coordinator keys its
@@ -46,7 +49,7 @@ const ShardMediaType = "application/x-are-shard"
 
 const (
 	shardMagic   = "ARSB"
-	shardVersion = 1
+	shardVersion = 2
 
 	flagYLT = 1 << 0
 
@@ -188,49 +191,44 @@ func DecodeShardResult(r io.Reader) (*ShardResult, error) {
 	if numL < 0 || numL > maxShardHeader {
 		return nil, fmt.Errorf("%w: layer count %d", ErrShardWire, numL)
 	}
-	st := &core.YLTState{
-		LayerIDs:   make([]uint32, numL),
-		NumTrials:  numT,
-		AggLoss:    make([][]float64, numL),
-		MaxOccLoss: make([][]float64, numL),
+	// Every allocation below grows with the bytes actually read, so a
+	// frame that claims more layers or trials than it carries fails on
+	// its short read instead of reserving what it claimed.
+	idb, err := io.ReadAll(io.LimitReader(r, 4*int64(numL)))
+	if err != nil || len(idb) != 4*numL {
+		return nil, fmt.Errorf("%w: short layer IDs", ErrShardWire)
 	}
-	idb := make([]byte, 4*numL)
-	if _, err := io.ReadFull(r, idb); err != nil {
-		return nil, fmt.Errorf("%w: short layer IDs: %v", ErrShardWire, err)
-	}
+	st := &core.YLTState{LayerIDs: make([]uint32, numL), NumTrials: numT}
 	for i := range st.LayerIDs {
 		st.LayerIDs[i] = binary.LittleEndian.Uint32(idb[4*i:])
 	}
 	var scratch [8 * wireChunk]byte
-	for l := 0; l < numL; l++ {
-		st.AggLoss[l] = make([]float64, numT)
-		if err := readColumn(r, st.AggLoss[l], scratch[:]); err != nil {
-			return nil, err
-		}
-	}
-	for l := 0; l < numL; l++ {
-		st.MaxOccLoss[l] = make([]float64, numT)
-		if err := readColumn(r, st.MaxOccLoss[l], scratch[:]); err != nil {
-			return nil, err
+	for _, cols := range []*[][]float64{&st.AggLoss, &st.MaxOccLoss} {
+		*cols = make([][]float64, 0, min(numL, wireChunk))
+		for l := 0; l < numL; l++ {
+			col, err := readColumn(r, numT, scratch[:])
+			if err != nil {
+				return nil, err
+			}
+			*cols = append(*cols, col)
 		}
 	}
 	res.YLT = st
 	return &res, nil
 }
 
-func readColumn(r io.Reader, col []float64, scratch []byte) error {
-	for len(col) > 0 {
-		n := len(col)
-		if n > wireChunk {
-			n = wireChunk
+// readColumn reads one n-float column. Storage is reserved up to 1 Mi
+// floats at once and grows past that only as the frame delivers.
+func readColumn(r io.Reader, n int, scratch []byte) ([]float64, error) {
+	col := make([]float64, 0, min(n, 1<<20))
+	for len(col) < n {
+		k := min(n-len(col), wireChunk)
+		if _, err := io.ReadFull(r, scratch[:8*k]); err != nil {
+			return nil, fmt.Errorf("%w: short YLT column: %v", ErrShardWire, err)
 		}
-		if _, err := io.ReadFull(r, scratch[:8*n]); err != nil {
-			return fmt.Errorf("%w: short YLT column: %v", ErrShardWire, err)
+		for i := 0; i < k; i++ {
+			col = append(col, math.Float64frombits(binary.LittleEndian.Uint64(scratch[8*i:])))
 		}
-		for i := 0; i < n; i++ {
-			col[i] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[8*i:]))
-		}
-		col = col[n:]
 	}
-	return nil
+	return col, nil
 }

@@ -6,26 +6,21 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/ralab/are/internal/core"
-	"github.com/ralab/are/internal/metrics"
 )
 
 func wireResult(t *testing.T, trials int, withYLT bool) *ShardResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	sum := metrics.NewSummarySink()
-	ep := metrics.NewEPSink(nil)
-	if err := sum.Begin([]uint32{3, 9}, trials); err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Begin([]uint32{3, 9}, trials); err != nil {
-		t.Fatal(err)
-	}
 	res := &ShardResult{
 		Lo: 100, Hi: 100 + trials, LayerIDs: []uint32{3, 9},
 		ElapsedMS: 42, YETCached: true, EngineCached: false,
@@ -54,11 +49,6 @@ func wireResult(t *testing.T, trials int, withYLT bool) *ShardResult {
 		}
 		res.YLT = st
 	}
-	for i := 0; i < trials; i++ {
-		sum.Emit(0, i, rng.Float64(), rng.Float64())
-	}
-	res.Summary = sum.State()
-	res.EP = ep.State()
 	return res
 }
 
@@ -99,7 +89,8 @@ func TestShardWireRoundTripBitwise(t *testing.T) {
 				}
 			}
 		}
-		// The binary header must say exactly what the JSON path would.
+		// The binary header must say exactly what the JSON path would,
+		// and carry nothing but the shard's range and run facts.
 		jb, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
@@ -108,9 +99,23 @@ func TestShardWireRoundTripBitwise(t *testing.T) {
 		if err := json.Unmarshal(jb, &viaJSON); err != nil {
 			t.Fatal(err)
 		}
-		if len(viaJSON.Summary.Layers) != len(got.Summary.Layers) ||
-			viaJSON.Summary.Layers[0].Agg != got.Summary.Layers[0].Agg {
-			t.Fatalf("summary state diverges between JSON and binary paths")
+		viaJSON.YLT, got.YLT = nil, nil
+		if !reflect.DeepEqual(&viaJSON, got) {
+			t.Fatalf("header diverges between JSON and binary paths: %+v vs %+v", viaJSON, *got)
+		}
+		hlen := binary.LittleEndian.Uint32(buf.Bytes()[6:])
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes()[10:10+hlen], &keys); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"elapsedMs", "engineCached", "hi", "layerIds", "lo", "yetCached"}
+		var k []string
+		for key := range keys {
+			k = append(k, key)
+		}
+		sort.Strings(k)
+		if !slices.Equal(k, want) {
+			t.Fatalf("header keys %v, want %v", k, want)
 		}
 	}
 }

@@ -4,16 +4,19 @@
 // are the numbers a reinsurer reports to management, regulators and rating
 // agencies, and the inputs to the pricing stage.
 //
-// Every measure exists in two forms:
+// Every reported measure is computed from the materialised YLT column:
+// Summarise (two-pass moments), EPCurve (exact empirical quantiles,
+// one sort per column serving every return period, PML, VaR and TVaR),
+// and AllocateTVaR and DiversificationBenefit for the group roll-up.
+// The column is indexed by trial, so the numbers are bitwise
+// independent of how many workers filled it.
 //
-//   - Batch, over a materialised YLT: Summarise, EPCurve (exact empirical
-//     quantiles), AllocateTVaR and DiversificationBenefit for the group
-//     roll-up.
-//   - Streaming, as engine sinks consuming one trial at a time in O(1)
-//     memory per layer: SummarySink (Welford moments) and EPSink
-//     (mergeable quantile sketches), documented with their accuracy bounds in
-//     streaming.go. These are what let a run over millions of trials
-//     report AAL and PML without ever holding a Year Loss Table.
+// SummarySink (Welford moments) and EPSink (compacting quantile
+// sketches) are the bounded-memory alternative for streamed runs too
+// large to materialise. They consume one span at a time in O(1) memory
+// per layer, in arrival order, so their moments vary in the last
+// digits with the worker count and their EP points are estimates;
+// streaming.go documents the bounds.
 //
 // Convergence diagnostics (convergence.go) quantify the Monte Carlo
 // error both forms inherit from the trial count.

@@ -2,23 +2,19 @@ package metrics
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
 )
 
-// QuantileSketch is a mergeable, fixed-budget quantile summary built for
+// QuantileSketch is a fixed-budget quantile summary built for
 // exceedance curves: a compacting (Munro-Paterson / KLL style) body plus
-// an exact reserve of the k largest observations. Two sketches merge by
-// concatenating their parts and re-compacting — the operation the
-// distributed coordinator relies on to combine per-shard exceedance
-// state, and the property a single-quantile P² estimator fundamentally
-// lacks.
+// an exact reserve of the k largest observations.
 //
 // The tail reserve holds the largest min(n, k) observations exactly, so
-// any quantile whose rank falls in the top k — every PML point with
-// return period strictly above n/k — is answered exactly. Below that, observations
+// any rank in the top k — every PML point with return period strictly
+// above n/k — is answered with the exact order statistic (see Quantile
+// for how that still differs from EPCurve). Below that, observations
 // live in the body: level h holds items that each stand for 2^h
 // observations, and whenever a level fills its k slots it is sorted and
 // every other element promoted with doubled weight.
@@ -30,9 +26,7 @@ import (
 // after n observations is at most n/k * H with H = log2(n/k) compacted
 // levels — a relative rank error of about log2(n/k)/k, under 1% at the
 // default capacity for a million observations. ErrorBound reports the
-// guarantee; the alternation makes typical error far smaller. Merging
-// obeys the same bound: it performs exactly the compactions the
-// concatenated stream would.
+// guarantee; the alternation makes typical error far smaller.
 //
 // Memory is O(k log(n/k)) float64s regardless of n. The zero value is
 // not usable; construct with NewQuantileSketch. Methods are not safe for
@@ -49,7 +43,7 @@ type QuantileSketch struct {
 
 // DefaultSketchK is the per-level and tail-reserve capacity used when
 // callers pass k <= 0: large enough that PML points at the standard
-// return periods are answered exactly for trial counts into the
+// return periods fall in the tail reserve for trial counts into the
 // millions, small enough that per-layer state is tens of kilobytes.
 const DefaultSketchK = 1024
 
@@ -163,43 +157,13 @@ func (s *QuantileSketch) flip(h int) bool {
 	return f
 }
 
-// Merge folds other into s. Both sketches must share one k. Tails are
-// combined and re-trimmed to the k global maxima — items one shard kept
-// exactly but the union displaces drop into the body at weight 1, so no
-// observation is ever lost — and body levels are concatenated and
-// re-compacted. The result obeys ErrorBound at the merged count.
-func (s *QuantileSketch) Merge(other *QuantileSketch) error {
-	if other == nil || other.n == 0 {
-		return nil
-	}
-	if other.k != s.k {
-		return fmt.Errorf("metrics: sketch merge: k mismatch (%d vs %d)", s.k, other.k)
-	}
-	comb := make([]float64, 0, len(s.tail)+len(other.tail))
-	comb = append(comb, s.tail...)
-	comb = append(comb, other.tail...)
-	sort.Float64s(comb)
-	if cut := len(comb) - s.k; cut > 0 {
-		s.levels[0] = append(s.levels[0], comb[:cut]...)
-		comb = comb[cut:]
-	}
-	s.tail = append(s.tail[:0], comb...)
-	for len(s.levels) < len(other.levels) {
-		s.levels = append(s.levels, make([]float64, 0, s.k))
-	}
-	for h, lvl := range other.levels {
-		s.levels[h] = append(s.levels[h], lvl...)
-	}
-	s.n += other.n
-	s.compactFrom(0)
-	return nil
-}
-
-// Quantile returns the estimated q-quantile (q clamped to [0, 1]) under
-// the same convention as EPCurve.quantile: the value whose rank reaches
-// ceil(q * n). Ranks that land in the tail reserve — all of the top k —
-// are exact; body ranks carry the ErrorBound guarantee. An empty sketch
-// returns 0.
+// Quantile returns the estimated q-quantile (q clamped to [0, 1]): the
+// order statistic of rank ceil(q * n), with no interpolation. That is
+// not EPCurve's convention, which interpolates linearly between the
+// order statistics around q * (n - 1); so even where the rank lands in
+// the tail reserve — all of the top k, where the order statistic itself
+// is exact — the answer generally differs from EPCurve's at the same q.
+// Body ranks carry the ErrorBound guarantee. An empty sketch returns 0.
 func (s *QuantileSketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return 0
@@ -273,83 +237,13 @@ type weightedValue struct {
 // ErrorBound returns the guaranteed worst-case rank error of a body
 // Quantile answer, as a fraction of Count: H/k for H compacted levels.
 // Queries whose rank lands in the tail reserve (return periods above
-// n/k) are exact. The deterministic alternation typically does much better
-// than the bound; tests assert the guarantee.
+// n/k) return the exact order statistic. The deterministic alternation
+// typically does much better than the bound; tests assert the
+// guarantee.
 func (s *QuantileSketch) ErrorBound() float64 {
 	h := len(s.levels) - 1
 	if h <= 0 || s.n == 0 {
-		return 0 // nothing has been compacted; answers are exact
+		return 0 // nothing has been compacted; ranks are exact
 	}
 	return float64(h) / float64(s.k)
-}
-
-// SketchState is the serialisable content of a QuantileSketch — the wire
-// form a worker ships to the coordinator. JSON round-trips float64
-// exactly, so state transfer does not perturb the summary.
-type SketchState struct {
-	K      int         `json:"k"`
-	N      int64       `json:"n"`
-	Tail   []float64   `json:"tail,omitempty"`
-	Levels [][]float64 `json:"levels"`
-	Flips  []bool      `json:"flips,omitempty"`
-}
-
-// State snapshots the sketch.
-func (s *QuantileSketch) State() SketchState {
-	st := SketchState{
-		K:      s.k,
-		N:      s.n,
-		Tail:   append([]float64(nil), s.tail...),
-		Levels: make([][]float64, len(s.levels)),
-		Flips:  append([]bool(nil), s.flips...),
-	}
-	for h, lvl := range s.levels {
-		st.Levels[h] = append([]float64(nil), lvl...)
-	}
-	return st
-}
-
-// SketchFromState reconstructs a sketch from a snapshot, validating the
-// invariants a corrupt or hostile peer could break: capacities, finite
-// values, and exact weight conservation against the claimed count.
-func SketchFromState(st SketchState) (*QuantileSketch, error) {
-	if st.K < 8 {
-		return nil, ErrBadSketchK
-	}
-	if st.N < 0 {
-		return nil, fmt.Errorf("metrics: sketch state: negative count %d", st.N)
-	}
-	if len(st.Tail) > st.K {
-		return nil, fmt.Errorf("metrics: sketch state: tail exceeds capacity %d", st.K)
-	}
-	s := &QuantileSketch{k: st.K, n: st.N, flips: append([]bool(nil), st.Flips...)}
-	s.tail = append(make([]float64, 0, st.K), st.Tail...)
-	for _, v := range s.tail {
-		if math.IsNaN(v) {
-			return nil, errors.New("metrics: sketch state: NaN in tail")
-		}
-	}
-	sort.Float64s(s.tail) // enforce the invariant rather than trusting the wire
-	weight := int64(len(s.tail))
-	if len(st.Levels) == 0 {
-		s.levels = [][]float64{make([]float64, 0, st.K)}
-	} else {
-		s.levels = make([][]float64, len(st.Levels))
-	}
-	for h, lvl := range st.Levels {
-		if len(lvl) > st.K {
-			return nil, fmt.Errorf("metrics: sketch state: level %d exceeds capacity %d", h, st.K)
-		}
-		for _, v := range lvl {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("metrics: sketch state: NaN at level %d", h)
-			}
-		}
-		s.levels[h] = append(make([]float64, 0, st.K), lvl...)
-		weight += int64(len(lvl)) << uint(h)
-	}
-	if weight != st.N {
-		return nil, fmt.Errorf("metrics: sketch state: weight %d does not match count %d", weight, st.N)
-	}
-	return s, nil
 }

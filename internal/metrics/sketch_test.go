@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -113,131 +112,5 @@ func TestQuantileSketchBoundSingleStream(t *testing.T) {
 		if got < lo || got > hi {
 			t.Errorf("q=%v: %v outside rank window [%v, %v] (slack %d ranks)", q, got, lo, hi, slack)
 		}
-	}
-}
-
-// TestQuantileSketchMergeProperty is the satellite property test: K
-// random shard sketches, merged, must answer within the merged sketch's
-// error bound of the exact quantiles of the concatenated sample — across
-// shard counts, shard size skew, and distributions.
-func TestQuantileSketchMergeProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	distributions := map[string]func() float64{
-		"uniform":   r.Float64,
-		"lognormal": func() float64 { return math.Exp(1.2*r.NormFloat64() + 8) },
-		"zeroHeavy": func() float64 {
-			if r.Float64() < 0.4 {
-				return 0
-			}
-			return math.Exp(2*r.NormFloat64() + 9)
-		},
-	}
-	for name, draw := range distributions {
-		for _, shards := range []int{2, 3, 7, 16} {
-			const k = 512
-			merged, err := NewQuantileSketch(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var all []float64
-			for sh := 0; sh < shards; sh++ {
-				// Skewed shard sizes: from a few hundred to tens of
-				// thousands, like uneven trial ranges.
-				n := 200 + r.Intn(30_000)
-				part, err := NewQuantileSketch(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					v := draw()
-					part.Add(v)
-					all = append(all, v)
-				}
-				if err := merged.Merge(part); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if merged.Count() != int64(len(all)) {
-				t.Fatalf("%s/%d shards: count %d, want %d", name, shards, merged.Count(), len(all))
-			}
-			sorted := append([]float64(nil), all...)
-			sort.Float64s(sorted)
-			slack := int(math.Ceil(merged.ErrorBound() * float64(len(all))))
-			for _, q := range []float64{0.05, 0.25, 0.5, 0.8, 0.9, 0.96, 0.99, 0.996, 0.999} {
-				got := merged.Quantile(q)
-				lo, hi := exactRankWindow(sorted, q, slack)
-				if got < lo || got > hi {
-					t.Errorf("%s/%d shards q=%v: %v outside rank window [%v, %v] (slack %d of %d)",
-						name, shards, q, got, lo, hi, slack, len(all))
-				}
-			}
-		}
-	}
-}
-
-func TestSketchStateRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	s, err := NewQuantileSketch(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10_000; i++ {
-		s.Add(math.Exp(r.NormFloat64()))
-	}
-	b, err := json.Marshal(s.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st SketchState
-	if err := json.Unmarshal(b, &st); err != nil {
-		t.Fatal(err)
-	}
-	back, err := SketchFromState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Count() != s.Count() {
-		t.Fatalf("count %d != %d", back.Count(), s.Count())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 0.999} {
-		if got, want := back.Quantile(q), s.Quantile(q); got != want {
-			t.Errorf("q=%v: restored %v != original %v", q, got, want)
-		}
-	}
-}
-
-func TestSketchFromStateRejectsCorrupt(t *testing.T) {
-	good := func() SketchState {
-		s, _ := NewQuantileSketch(8)
-		for i := 0; i < 100; i++ {
-			s.Add(float64(i))
-		}
-		return s.State()
-	}
-	cases := map[string]func(*SketchState){
-		"tinyK":         func(st *SketchState) { st.K = 2 },
-		"negativeCount": func(st *SketchState) { st.N = -1 },
-		"weightLie":     func(st *SketchState) { st.N += 5 },
-		"nanTail":       func(st *SketchState) { st.Tail[0] = math.NaN() },
-		"overfullLevel": func(st *SketchState) { st.Levels[0] = make([]float64, st.K+1) },
-	}
-	for name, corrupt := range cases {
-		st := good()
-		corrupt(&st)
-		if _, err := SketchFromState(st); err == nil {
-			t.Errorf("%s: corrupt state accepted", name)
-		}
-	}
-}
-
-func TestSketchMergeKMismatch(t *testing.T) {
-	a, _ := NewQuantileSketch(64)
-	b, _ := NewQuantileSketch(128)
-	b.Add(1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("k mismatch accepted")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil merge should be a no-op, got %v", err)
 	}
 }

@@ -8,20 +8,17 @@
 // Accuracy relative to the batch versions, by construction:
 //
 //   - SummarySink: Trials, Min and Max are exact. Mean and StdDev use
-//     Welford's update, which differs from the two-pass Summarise only
-//     in floating-point association — relative error is ~1e-12 for
-//     well-conditioned YLTs.
-//   - EPSink: each layer's curve is answered by a mergeable compacting
+//     Welford's update in span arrival order, which differs from the
+//     two-pass Summarise in floating-point association — relative error
+//     is ~1e-12 for well-conditioned YLTs, and the last digits move with
+//     the worker count.
+//   - EPSink: each layer's curve is answered by a compacting
 //     quantile sketch (see QuantileSketch) with a guaranteed rank-error
 //     bound of about log2(n/k)/k — under 1% at the default capacity for
 //     a million trials, with observed error typically far smaller.
-//     Tail points whose return period approaches the trial count carry
-//     Monte Carlo noise of the same order as the sketch error.
-//
-// Both sinks export serialisable state (state.go) that merges exactly
-// (moments) or within the sketch bound (quantiles), which is what lets
-// the distributed coordinator combine per-shard partial results into
-// one curve.
+//     Even a rank the sketch holds exactly is reported as that order
+//     statistic, where EPCurve interpolates between two, so no EPSink
+//     point is bitwise an EPCurve point.
 package metrics
 
 import (
@@ -53,31 +50,6 @@ func (o *OnlineSummary) Add(v float64) {
 	d := v - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (v - o.mean)
-}
-
-// Merge folds another accumulator into o (Chan et al.'s parallel
-// variance combination), for callers that accumulate per shard and
-// combine at the end rather than emitting through SummarySink's
-// per-layer lock.
-func (o *OnlineSummary) Merge(p OnlineSummary) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = p
-		return
-	}
-	n1, n2 := float64(o.n), float64(p.n)
-	d := p.mean - o.mean
-	o.m2 += p.m2 + d*d*n1*n2/(n1+n2)
-	o.mean += d * n2 / (n1 + n2)
-	o.n += p.n
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
 }
 
 // Count returns the number of observations seen.
@@ -177,7 +149,7 @@ func (s *SummarySink) OccSummary(l int) Summary {
 }
 
 // EPSink estimates per-layer exceedance-curve points at fixed return
-// periods online: one mergeable quantile sketch per (layer, AEP/OEP)
+// periods online: one quantile sketch per (layer, AEP/OEP)
 // pair answers every return period, so memory is O(layers x k log n)
 // regardless of trial count. It satisfies the engine's Sink interface
 // and is safe for concurrent Emit.
@@ -187,8 +159,6 @@ func (s *SummarySink) OccSummary(l int) Summary {
 // bound scaling — acceptable for the sink's purpose (bounded memory on
 // runs too large to materialise); throughput-critical runs that fit in
 // memory should prefer the lock-free FullYLT path plus batch metrics.
-// Distributed runs avoid the contention entirely: each shard feeds its
-// own sink and the coordinator merges states (see Merge).
 type EPSink struct {
 	rps    []float64
 	k      int
@@ -258,23 +228,6 @@ func (s *EPSink) Begin(layerIDs []uint32, numTrials int) error {
 	return nil
 }
 
-// Rearm resets the sink for a new run under a different return-period
-// set — the piece of NewEPSink's construction that varies per job —
-// while keeping the sketch capacity k and every per-layer sketch for
-// Begin to reuse. The server's pooled sink stacks call this between
-// jobs.
-func (s *EPSink) Rearm(rps []float64) {
-	if len(rps) == 0 {
-		rps = StandardReturnPeriods
-	}
-	s.rps = s.rps[:0]
-	for _, rp := range rps {
-		if rp > 1 && !math.IsInf(rp, 0) && !math.IsNaN(rp) {
-			s.rps = append(s.rps, rp)
-		}
-	}
-}
-
 // Emit folds one trial into the layer's sketch pair.
 func (s *EPSink) Emit(layer, trial int, aggLoss, maxOcc float64) {
 	l := &s.layers[layer]
@@ -325,18 +278,4 @@ func (s *EPSink) points(layer int, occ bool) []Point {
 		pts = append(pts, Point{ReturnPeriod: rp, Prob: 1 / rp, Loss: sk.Quantile(1 - 1/rp)})
 	}
 	return pts
-}
-
-// ErrorBound reports the layer's guaranteed sketch rank-error fraction
-// (see QuantileSketch.ErrorBound) — the documented tolerance for
-// comparing sharded EP curves against single-node ones.
-func (s *EPSink) ErrorBound(layer int) float64 {
-	l := &s.layers[layer]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.agg.ErrorBound()
-	if ob := l.occ.ErrorBound(); ob > b {
-		b = ob
-	}
-	return b
 }

@@ -51,40 +51,6 @@ func TestOnlineSummaryMatchesSummarise(t *testing.T) {
 	}
 }
 
-func TestOnlineSummaryMerge(t *testing.T) {
-	losses := sampleLosses(10_000, 2)
-	var whole OnlineSummary
-	for _, v := range losses {
-		whole.Add(v)
-	}
-	// Merge unequal shards, including an empty one.
-	var a, b, c, empty OnlineSummary
-	for _, v := range losses[:100] {
-		a.Add(v)
-	}
-	for _, v := range losses[100:7000] {
-		b.Add(v)
-	}
-	for _, v := range losses[7000:] {
-		c.Add(v)
-	}
-	var merged OnlineSummary
-	merged.Merge(a)
-	merged.Merge(empty)
-	merged.Merge(b)
-	merged.Merge(c)
-	got, want := merged.Summary(), whole.Summary()
-	if got.Trials != want.Trials || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("exact fields differ: got %+v want %+v", got, want)
-	}
-	if e := relErr(got.Mean, want.Mean); e > 1e-12 {
-		t.Errorf("mean rel err %v", e)
-	}
-	if e := relErr(got.StdDev, want.StdDev); e > 1e-9 {
-		t.Errorf("stddev rel err %v", e)
-	}
-}
-
 func TestOnlineSummaryEmpty(t *testing.T) {
 	var o OnlineSummary
 	if s := o.Summary(); s != (Summary{}) {

@@ -60,12 +60,9 @@ func (c *Config) setDefaults() {
 // ErrBadConfig reports an invalid expense ratio.
 var ErrBadConfig = errors.New("pricing: ExpenseRatio must be < 1")
 
-// Price computes a quote from a layer's YLT.
+// Price computes a quote from a layer's YLT: the summary and sorted
+// curve it builds are PriceCurve's inputs.
 func Price(ylt []float64, cfg Config) (Quote, error) {
-	cfg.setDefaults()
-	if cfg.ExpenseRatio >= 1 {
-		return Quote{}, ErrBadConfig
-	}
 	sum, err := metrics.Summarise(ylt)
 	if err != nil {
 		return Quote{}, err
@@ -73,11 +70,23 @@ func Price(ylt []float64, cfg Config) (Quote, error) {
 	bufp := curveBufPool.Get().(*[]float64)
 	curve, buf, err := metrics.NewEPCurveAt(*bufp, ylt)
 	*bufp = buf
-	// The curve never escapes Price — both reads below copy plain
-	// floats into the Quote — so the scratch can go straight back.
+	// The curve never escapes — PriceCurve copies plain floats into the
+	// Quote — so the scratch can go straight back.
 	defer curveBufPool.Put(bufp)
 	if err != nil {
 		return Quote{}, err
+	}
+	return PriceCurve(sum, curve, cfg)
+}
+
+// PriceCurve computes a quote from a layer's YLT summary and its sorted
+// exceedance curve, for callers that already hold both: the quote's
+// PML100 and TVaR99 are then read from the very curve that renders the
+// layer's EP points.
+func PriceCurve(sum metrics.Summary, curve *metrics.EPCurve, cfg Config) (Quote, error) {
+	cfg.setDefaults()
+	if cfg.ExpenseRatio >= 1 {
+		return Quote{}, ErrBadConfig
 	}
 	q := Quote{
 		ExpectedLoss: sum.Mean,
@@ -92,7 +101,7 @@ func Price(ylt []float64, cfg Config) (Quote, error) {
 	if cfg.OccLimit > 0 && !math.IsInf(cfg.OccLimit, 0) {
 		q.RateOnLine = q.TechnicalPremium / cfg.OccLimit
 	}
-	if len(ylt) >= 100 {
+	if curve.Trials() >= 100 {
 		q.PML100, _ = curve.PML(100)
 	}
 	q.TVaR99, _ = curve.TVaR(0.99)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ralab/are/internal/artifact"
 	"github.com/ralab/are/internal/dist"
+	"github.com/ralab/are/internal/spec"
 )
 
 // startWorkerServer spins one worker-role ared over httptest.
@@ -60,9 +61,8 @@ func clusterStatus(t *testing.T, coord *httptest.Server) dist.ClusterStatus {
 
 // TestClusterEndToEnd drives the whole HTTP surface: three worker
 // processes, one coordinator, a quoted job submitted to the ordinary
-// jobs API. The coordinator must shard it, merge the partials, and
-// produce quotes bitwise identical to the same job run on a single-role
-// server (quotes derive from the reassembled YLT, which is exact).
+// jobs API. The coordinator must shard it, reassemble the shards' YLTs,
+// and render a result byte-identical to RunLocal's.
 func TestClusterEndToEnd(t *testing.T) {
 	coordSrv, coordTS := testServer(t, Config{
 		Role:        RoleCoordinator,
@@ -98,33 +98,26 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("result shards=%d workersUsed=%d, want a real fan-out", got.Shards, got.WorkersUsed)
 	}
 
-	// Reference: the same job on a plain single-role server.
-	_, singleTS := testServer(t, Config{JobWorkers: 1})
-	sst, _ := postJob(t, singleTS, body)
-	sfin := waitState(t, singleTS, sst.ID, JobDone, JobFailed, JobCancelled)
-	if sfin.State != string(JobDone) {
-		t.Fatalf("single job ended %s (%s)", sfin.State, sfin.Error)
+	// Reference: the same job through RunLocal. Every number renders
+	// from the reassembled YLT, which is bitwise the local one, so the
+	// bodies agree byte for byte once the per-run fields are cleared.
+	js, err := spec.ParseJob(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, _ := getResult(t, singleTS, sst.ID)
-
-	if len(got.Layers) != len(want.Layers) {
-		t.Fatalf("layer count %d vs %d", len(got.Layers), len(want.Layers))
+	want, _, err := RunLocal(context.Background(), artifact.NewCache(8), js)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.Layers {
-		g, w := got.Layers[i], want.Layers[i]
-		if g.Quote == nil || w.Quote == nil {
-			t.Fatalf("layer %d missing quotes", i)
-		}
-		// Quotes are priced from bitwise-identical YLTs: exact equality.
-		if *g.Quote != *w.Quote {
-			t.Fatalf("layer %d quote differs:\n cluster %+v\n single  %+v", i, *g.Quote, *w.Quote)
-		}
-		if g.Summary.Trials != w.Summary.Trials || g.Summary.Min != w.Summary.Min || g.Summary.Max != w.Summary.Max {
-			t.Fatalf("layer %d summary exact fields differ", i)
-		}
-		if w.Summary.Mean != 0 && math.Abs(g.Summary.Mean-w.Summary.Mean)/math.Abs(w.Summary.Mean) > 1e-12 {
-			t.Fatalf("layer %d mean %v vs %v", i, g.Summary.Mean, w.Summary.Mean)
-		}
+	if got.Layers[0].Quote == nil {
+		t.Fatal("cluster result carries no quotes")
+	}
+	canon := func(r JobResult) []byte {
+		r.ID, r.ElapsedMS, r.Shards, r.Retried, r.WorkersUsed = "", 0, 0, 0, 0
+		return encodeResultBytes(&r)
+	}
+	if g, w := canon(*got), canon(*want); !bytes.Equal(g, w) {
+		t.Fatalf("cluster result differs from RunLocal:\n cluster %s\n local   %s", g, w)
 	}
 
 	// Cluster metrics surface the dispatch counters.
@@ -230,11 +223,11 @@ func TestShardEndpointDirect(t *testing.T) {
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Lo != 10 || res.Hi != 60 || len(res.Summary.Layers) != 1 {
+	if res.Lo != 10 || res.Hi != 60 || len(res.LayerIDs) != 1 || res.YLT == nil {
 		t.Fatalf("shard result %+v", res)
 	}
-	if res.Summary.Layers[0].Agg.N != 50 {
-		t.Fatalf("shard trials %d, want 50", res.Summary.Layers[0].Agg.N)
+	if res.YLT.NumTrials != 50 || len(res.YLT.AggLoss) != 1 || len(res.YLT.AggLoss[0]) != 50 {
+		t.Fatalf("shard YLT %d trials, want 50", res.YLT.NumTrials)
 	}
 
 	for name, bad := range map[string]string{

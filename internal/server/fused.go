@@ -1,19 +1,18 @@
 package server
 
-// The one local execution path: prepare → variants → sinks → one pass
-// → render. Every local job runs as a member of a batch, and every
-// member is a window of one compiled variant list: a plain job
-// contributes the one empty variant (which the sweep engine compiles to
-// the exact base program), a sweep job its requested variants, and the
-// batch is priced in a single SweepEngine gather pass demuxed through
-// per-variant sinks back to the owning jobs. The planner (planner.go)
-// guarantees every member shares base artifacts and effective worker
-// count. A solo job is the batch of one, a plain job the window of one
-// (K=1); RunLocal is the batch of one with the YLT kept. Each member
-// keeps its own journal records, progress, SSE stream, quota slot and
-// result — and at workers=1 (the bitwise regime) the result is
-// bitwise-identical whatever the batch, because per-sink emission order
-// is the span order either way.
+// The one local execution path: prepare → variants → YLT → one pass →
+// render. Every local job runs as a member of a batch, and every member
+// is a window of one compiled variant list: a plain job contributes the
+// one empty variant (which the sweep engine compiles to the exact base
+// program), a sweep job its requested variants, and the batch is priced
+// in a single SweepEngine gather pass demuxed through per-variant YLT
+// sinks back to the owning jobs. The planner (planner.go) guarantees
+// every member shares base artifacts. A solo job is the batch of one, a
+// plain job the window of one (K=1); RunLocal is the batch of one with
+// the YLT kept. Each member keeps its own journal records, progress,
+// SSE stream, quota slot and result — and the result is bitwise
+// identical whatever the batch or worker count, because every number is
+// rendered from a YLT column indexed by trial, not by arrival.
 
 import (
 	"context"
@@ -142,9 +141,9 @@ func (s *scheduler) runLocal(ctx context.Context, live []*Job) {
 
 // finishMember renders and finishes one member after its pass. A
 // member cancelled mid-pass reaches the terminal state of a run whose
-// pipeline unwound; like any failed run's, its sinks are abandoned to
-// the GC rather than repooled — a straggling pipeline worker may still
-// hold references.
+// pipeline unwound; like any failed run's, its YLT slabs are abandoned
+// to the GC rather than repooled — a straggling pipeline worker may
+// still hold references.
 func (s *scheduler) finishMember(j *Job, m *member, elapsed time.Duration, err error) {
 	if err == nil {
 		err = j.ctx.Err()
@@ -158,7 +157,7 @@ func (s *scheduler) finishMember(j *Job, m *member, elapsed time.Duration, err e
 
 // member is one job's seat in a local pass: its prepared artifacts, its
 // window of the pass's variant list and, once runPass built them, one
-// sink stack per variant.
+// YLT sink per variant.
 type member struct {
 	id string
 	js *spec.Job
@@ -169,8 +168,7 @@ type member struct {
 	// for a sweep.
 	variants []core.Variant
 
-	sets  []*sinkSet
-	fulls []*core.FullYLT // nil entries unless the YLT is materialised
+	fulls []*core.FullYLT
 }
 
 func newMember(id string, js *spec.Job, a *jobArtifacts) *member {
@@ -183,11 +181,12 @@ func newMember(id string, js *spec.Job, a *jobArtifacts) *member {
 
 // runPass prices the members in one gather pass over their shared
 // artifacts: the concatenated variant windows compile against the
-// cached engine, each variant gets its owner's sink stack, and progress
-// fans out to every member — each job's trial counter, SSE stream and
-// status advance as if it ran the pass alone (it shares the trial
-// range, so the counts are identical). keepYLT materialises every
-// variant's YLT unpooled for a caller that reads it after render.
+// cached engine, each variant fills its own YLT — from the slab pool,
+// or unpooled when keepYLT says the caller reads it after render — and
+// progress fans out to every member: each job's trial counter, SSE
+// stream and status advance as if it ran the pass alone (it shares the
+// trial range, so the counts are identical). The pass runs at the first
+// member's worker count; the rendered numbers do not depend on it.
 func runPass(ctx context.Context, ms []*member, keepYLT bool) (time.Duration, error) {
 	a := ms[0].a
 	var variants []core.Variant
@@ -202,10 +201,14 @@ func runPass(ctx context.Context, ms []*member, keepYLT bool) (time.Duration, er
 	groups := make([][]core.Sink, len(ms))
 	for i, m := range ms {
 		n := len(m.variants)
-		m.sets, m.fulls = make([]*sinkSet, n), make([]*core.FullYLT, n)
+		m.fulls = make([]*core.FullYLT, n)
 		groups[i] = make([]core.Sink, n)
-		for k := 0; k < n; k++ {
-			m.sets[k], m.fulls[k], groups[i][k] = jobSinks(m.js, keepYLT)
+		for k := range n {
+			full := core.NewPooledYLT()
+			if keepYLT {
+				full = core.NewFullYLT()
+			}
+			m.fulls[k], groups[i][k] = full, full
 		}
 	}
 	demux, _ := core.NewVariantSinksGrouped(groups...)
@@ -223,13 +226,12 @@ func runPass(ctx context.Context, ms []*member, keepYLT bool) (time.Duration, er
 	return time.Since(start), err
 }
 
-// render emits the member's wire result from its sinks and returns
-// them to their pools: Layers carries variant 0 always — for a sweep,
-// the view closest to the plain job, so clients that do not know about
-// sweeps still read a coherent result — and Variants only for sweep
-// specs. Quotes are priced per variant from that variant's materialised
-// YLT under the variant's effective occurrence limit, exactly when
-// requested.
+// render emits the member's wire result from its YLTs and returns
+// pooled slabs to their pool: Layers carries variant 0 always — for a
+// sweep, the view closest to the plain job, so clients that do not know
+// about sweeps still read a coherent result — and Variants only for
+// sweep specs. Each variant renders under its own effective layer terms
+// (quotes price against the variant's occurrence limit).
 func (m *member) render(elapsed time.Duration) (*JobResult, error) {
 	js := m.js
 	res := &JobResult{
@@ -240,22 +242,15 @@ func (m *member) render(elapsed time.Duration) (*JobResult, error) {
 		EngineCached: m.a.engineHit,
 	}
 	for k, v := range m.variants {
-		set, full := m.sets[k], m.fulls[k]
-		var fullRes *core.Result
-		if js.Metrics.Quotes {
-			fullRes = full.Result()
-		}
-		layers, err := layerResults(js, m.a.art.P.P, v, set.sum, set.ep, fullRes)
+		full := m.fulls[k]
+		layers, err := layerResults(js, m.a.art.P.P, v, full.Result())
 		if err != nil {
 			if js.Sweep != nil {
 				err = fmt.Errorf("variant %d (%s): %w", k, v.Name, err)
 			}
 			return nil, err
 		}
-		if full != nil {
-			full.Release() // quotes are priced; a pooled YLT slab goes back
-		}
-		set.release()
+		full.Release()
 		if k == 0 {
 			res.Layers = layers
 		}

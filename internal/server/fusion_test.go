@@ -26,9 +26,7 @@ import (
 )
 
 // fusionJobBody is jobBody with an explicit lookup kind and optional
-// sweep. Workers is pinned to 1: the bitwise regime (sequential
-// pipeline, emission-order-deterministic online sinks) that the
-// fused-vs-solo oracle relies on.
+// sweep.
 func fusionJobBody(lookup string, seed uint64, trials, fixedEvents int, quotes bool, sweep string) string {
 	sweepField := ""
 	if sweep != "" {
@@ -49,7 +47,6 @@ func fusionJobBody(lookup string, seed uint64, trials, fixedEvents int, quotes b
 	  },
 	  "yet": {"seed": %d, "trials": %d, "fixedEvents": %d},
 	  "metrics": {"quotes": %v},
-	  "workers": 1,
 	  "lookup": %q%s
 	}`, seed, trials, fixedEvents, quotes, lookup, sweepField)
 }
@@ -254,13 +251,16 @@ func TestPlannerCompatibility(t *testing.T) {
 			batches: [][]int{{0}, {1}},
 		},
 		{
-			name:     "worker-count mismatch runs solo",
+			// Results render from the trial-indexed YLT, so they are the
+			// same bytes at any worker count; the fused bytes are held to
+			// the solo run in TestQuotedResultBitwiseAcrossWorkers.
+			name:     "worker-count mismatch fuses",
 			fuseWait: time.Millisecond,
 			bodies: []string{
-				same(),
-				strings.Replace(same(), `"workers": 1`, `"workers": 2`, 1),
+				strings.Replace(same(), `"lookup"`, `"workers": 1, "lookup"`, 1),
+				strings.Replace(same(), `"lookup"`, `"workers": 2, "lookup"`, 1),
 			},
-			batches: [][]int{{0}, {1}},
+			batches: [][]int{{0, 1}},
 		},
 		{
 			name:     "variant budget overflow defers the big sweep",

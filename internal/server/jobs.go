@@ -878,52 +878,10 @@ func prepareLocal(ctx context.Context, cache *artifact.Cache, js *spec.Job, engi
 	}, nil
 }
 
-// sinkSet is one recyclable pair of online sinks. The server runs one
-// per job (per variant for sweeps), and both sinks rearm in place —
-// Begin resets their layer state, Rearm swaps the return periods — so
-// pooling the pair removes the per-job sketch construction (two
-// sketches per layer, each growing O(k log n) level storage during the
-// run) from the steady state.
-type sinkSet struct {
-	sum *metrics.SummarySink
-	ep  *metrics.EPSink
-}
-
-var sinkSetPool = sync.Pool{New: func() any {
-	return &sinkSet{sum: metrics.NewSummarySink(), ep: metrics.NewEPSink(nil)}
-}}
-
-// release returns the pair to the pool. Callers release only after the
-// job's result is assembled (the sinks' states are read by then) and
-// only on the success path — a cancelled or failed run may still have
-// a straggling worker holding a sink reference.
-func (ss *sinkSet) release() { sinkSetPool.Put(ss) }
-
-// jobSinks builds one job-shaped sink stack: pooled online moments +
-// EP always, a materialising sink only when quotes were requested or
-// the caller keeps the YLT. The pool-backed pieces live exactly from
-// the run to result rendering, so each caller must release them once
-// the result is built; a kept YLT is unpooled because it outlives that.
-func jobSinks(js *spec.Job, keepYLT bool) (*sinkSet, *core.FullYLT, core.MultiSink) {
-	set := sinkSetPool.Get().(*sinkSet)
-	set.ep.Rearm(js.Metrics.ReturnPeriods)
-	sinks := core.MultiSink{set.sum, set.ep}
-	var full *core.FullYLT
-	switch {
-	case keepYLT:
-		full = core.NewFullYLT()
-	case js.Metrics.Quotes:
-		full = core.NewPooledYLT()
-	}
-	if full != nil {
-		sinks = append(sinks, full)
-	}
-	return set, full, sinks
-}
-
-// executeDistributed fans the job out across the registered workers and
-// merges their partial sink states; quotes, when requested, are priced
-// on the coordinator from the reassembled (bitwise-identical) YLTs.
+// executeDistributed fans the job out across the registered workers
+// and renders the YLT the coordinator reassembles from their shards —
+// bitwise the table a local pass fills, so the result is the local
+// result.
 func (s *scheduler) executeDistributed(j *Job) (*JobResult, error) {
 	js := j.Spec
 	if err := j.ctx.Err(); err != nil {
@@ -958,7 +916,7 @@ func (s *scheduler) executeDistributed(j *Job) (*JobResult, error) {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	layers, err := layerResults(js, p.P, core.Variant{}, m.Summary, m.EP, m.Result)
+	layers, err := layerResults(js, p.P, core.Variant{}, m.Result)
 	if err != nil {
 		return nil, err
 	}
@@ -992,15 +950,13 @@ func (j *Job) progress() func(done, total int) {
 
 // RunLocal executes one validated job spec in-process through the
 // scheduler's local execution path — shared artifact cache, one
-// compiled-variant pass, quotes priced from the materialised YLT — as a
-// batch of one with the YLT kept: for plain jobs it additionally
-// returns the materialised per-layer tables. It exists for oracles: the
-// chaos harness replays every completed cluster job through RunLocal
-// and holds the service's wire results to this output (bitwise for
-// single-node jobs, within the documented merge tolerances for
-// distributed ones, with the returned Result supplying the exact
-// empirical quantiles behind the EP rank windows). The Result is nil
-// for sweep jobs — sweeps never fan out, so nothing needs rank data.
+// compiled-variant pass, every number rendered from the YLT column — as
+// a batch of one with the YLT kept: for plain jobs it additionally
+// returns the materialised per-layer tables (nil for sweeps). It exists
+// for oracles: the chaos harness and the benchmark replay completed
+// jobs through RunLocal and hold the service's wire results to its
+// output bitwise, whatever the engine worker count, batch or shard plan
+// that produced them.
 func RunLocal(ctx context.Context, cache *artifact.Cache, js *spec.Job) (*JobResult, *core.Result, error) {
 	a, err := prepareLocal(ctx, cache, js, 1, nil)
 	if err != nil {
@@ -1023,24 +979,50 @@ func RunLocal(ctx context.Context, cache *artifact.Cache, js *spec.Job) (*JobRes
 	return res, full, nil
 }
 
-// layerResults renders one sink stack's per-layer metrics — fed by a
-// local pass or reassembled from cluster shards alike. v supplies the
-// effective layer terms (sweep variants override attachments and
-// limits, so quotes must price against the variant's occurrence limit,
-// not the base portfolio's); plain jobs pass the zero Variant.
-func layerResults(js *spec.Job, p *layer.Portfolio, v core.Variant, sum *metrics.SummarySink, ep *metrics.EPSink, full *core.Result) ([]LayerResult, error) {
+// curveBufPool recycles the sorted-column scratch behind layerResults'
+// exceedance curves: a job sorts two trial-sized columns per layer and
+// variant, and no curve outlives the layer it renders.
+var curveBufPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// layerResults renders one variant's per-layer metrics from its Year
+// Loss Table — filled by a local pass or assembled from cluster shards
+// alike. The table is indexed by trial, so the result is bitwise
+// independent of worker count, batch and shard plan. Each column is
+// summarised and sorted once, and that one curve serves both the EP
+// points and the quote's PML100 and TVaR99. v supplies the effective
+// layer terms (sweep variants override attachments and limits, so
+// quotes must price against the variant's occurrence limit, not the
+// base portfolio's); plain jobs pass the zero Variant.
+func layerResults(js *spec.Job, p *layer.Portfolio, v core.Variant, res *core.Result) ([]LayerResult, error) {
+	rps := js.Metrics.ReturnPeriods
+	if len(rps) == 0 {
+		rps = nil // EPCurve.Curve's standard set
+	}
+	bufp := curveBufPool.Get().(*[]float64)
+	defer curveBufPool.Put(bufp)
+	column := func(losses []float64) (metrics.Summary, *metrics.EPCurve, error) {
+		sum, err := metrics.Summarise(losses)
+		if err != nil {
+			return sum, nil, err
+		}
+		curve, buf, err := metrics.NewEPCurveAt(*bufp, losses)
+		*bufp = buf
+		return sum, curve, err
+	}
 	out := make([]LayerResult, 0, len(p.Layers))
 	for li, l := range p.Layers {
-		lr := LayerResult{
-			ID:         l.ID,
-			Name:       l.Name,
-			Summary:    summaryJSON(sum.Summary(li)),
-			OccSummary: summaryJSON(sum.OccSummary(li)),
-			EP:         pointsJSON(ep.Points(li)),
-			OEP:        pointsJSON(ep.OccPoints(li)),
+		sum, curve, err := column(res.AggLoss[li])
+		if err != nil {
+			return nil, fmt.Errorf("layer %d: %w", l.ID, err)
 		}
-		if full != nil {
-			q, err := pricing.Price(full.YLT(li), pricing.Config{
+		lr := LayerResult{
+			ID:      l.ID,
+			Name:    l.Name,
+			Summary: summaryJSON(sum),
+			EP:      pointsJSON(curve.Curve(rps)),
+		}
+		if js.Metrics.Quotes {
+			q, err := pricing.PriceCurve(sum, curve, pricing.Config{
 				VolatilityMultiplier: js.Metrics.VolatilityMultiplier,
 				ExpenseRatio:         js.Metrics.ExpenseRatio,
 				OccLimit:             v.LayerTerms(l.LTerms).OccLimit,
@@ -1059,6 +1041,12 @@ func layerResults(js *spec.Job, p *layer.Portfolio, v core.Variant, sum *metrics
 				TVaR99:           q.TVaR99,
 			}
 		}
+		occ, occCurve, err := column(res.MaxOccLoss[li])
+		if err != nil {
+			return nil, fmt.Errorf("layer %d: %w", l.ID, err)
+		}
+		lr.OccSummary = summaryJSON(occ)
+		lr.OEP = pointsJSON(occCurve.Curve(rps))
 		out = append(out, lr)
 	}
 	return out, nil

@@ -10,16 +10,14 @@ package server
 //   - the lookup kind (same execution plan),
 //   - the YET spec (same trial range and event table — trial-range
 //     compatibility falls out of YET equality, since the table IS the
-//     trial range),
-//   - the effective worker count (at workers=1 the pipeline is
-//     sequential and the online sinks are emission-order deterministic;
-//     mixing worker counts would change a member's emission order and
-//     break the bitwise-identical-to-solo guarantee).
+//     trial range).
 //
-// Metrics options (return periods, quotes) and sweep variants are
-// deliberately NOT in the key: they live in per-job sinks and per-job
-// variant windows, so jobs differing there still fuse. The combined
-// variant count is capped at spec.MaxSweepVariants per pass.
+// Metrics options (return periods, quotes), sweep variants and the
+// engine worker count are deliberately NOT in the key: the first two
+// live in per-job YLTs and per-job variant windows, and every result is
+// rendered from a YLT column indexed by trial, which is bitwise the
+// same at any worker count — so jobs differing there still fuse. The
+// combined variant count is capped at spec.MaxSweepVariants per pass.
 
 import (
 	"time"
@@ -34,7 +32,6 @@ type fuseKeySpec struct {
 	Portfolio *spec.File   `json:"portfolio"`
 	Lookup    string       `json:"lookup"`
 	YET       spec.YETSpec `json:"yet"`
-	Workers   int          `json:"workers"`
 
 	// Uncertainty separates sampled passes (whose kernels consult the
 	// uncertainty options) from mean passes, and sampled passes with
@@ -57,15 +54,10 @@ func (s *scheduler) fuseKeyFor(js *spec.Job) (string, int) {
 	if s.cfg.FuseWait < 0 || s.coord != nil {
 		return "", variants
 	}
-	workers := js.Workers
-	if workers <= 0 {
-		workers = s.cfg.EngineWorkers
-	}
 	ks := fuseKeySpec{
 		Portfolio: js.Portfolio,
 		Lookup:    js.Lookup,
 		YET:       js.YET,
-		Workers:   workers,
 	}
 	if js.Sampled() {
 		ks.Uncertainty = js.Uncertainty

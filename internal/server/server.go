@@ -9,8 +9,9 @@
 // risk — and this package is that operational shell. Clients POST
 // analysis jobs (an inline portfolio spec, a Year Event Table spec, and
 // the metrics wanted back) to a JSON API; a bounded worker pool runs
-// each batch of compatible jobs through one engine pass with the online
-// metric sinks (a lone job is the batch of one; see fused.go); job
+// each batch of compatible jobs through one engine pass into per-job
+// Year Loss Tables and renders every metric from them (a lone job is
+// the batch of one; see fused.go); job
 // status (including live trial-level progress), results, cancellation,
 // health and Prometheus-style metrics are all HTTP resources.
 //
@@ -24,8 +25,9 @@
 //     table or portfolio trigger exactly one build.
 //   - Bounded concurrency (scheduler): JobWorkers jobs run at once, each
 //     with its own engine worker pool; the rest queue (QueueDepth deep,
-//     then 503). Memory stays bounded because unquoted jobs run entirely
-//     on O(layers) online sinks.
+//     then 503). A running job holds its YLT column, 16 B per (trial,
+//     layer, variant) drawn from a recycled slab pool, and MaxTrials
+//     bounds its trials.
 //   - Cooperative cancellation: every job owns a context. DELETE on a
 //     job, or server shutdown, cancels it; the engine's pipeline polls
 //     contexts between trial spans, so cancellation and shutdown are
@@ -35,8 +37,9 @@
 // POST /v1/shards — one trial shard of a job, executed through the same
 // artifact cache as direct jobs — and keeps itself registered with its
 // coordinator; a coordinator accepts ordinary job submissions but fans
-// each job's trial range out across the registered workers and merges
-// the partial sink states, exposing the registry at GET /v1/cluster.
+// each job's trial range out across the registered workers and
+// reassembles their shards' YLTs, exposing the registry at GET
+// /v1/cluster.
 //
 // See docs/api.md for the wire contract, docs/architecture.md for where
 // the service sits in the system, and docs/distributed.md for the

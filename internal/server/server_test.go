@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -132,9 +131,8 @@ func getResult(t *testing.T, ts *httptest.Server, id string) (*JobResult, *http.
 }
 
 // The cornerstone: a job run through the service must match the
-// equivalent direct library run — exactly for quoted metrics (the
-// materialised YLT is bitwise identical) and within the documented
-// online tolerances for the streaming summary.
+// equivalent direct library run exactly — every reported number is
+// rendered from the materialised YLT, which is bitwise identical.
 func TestJobMatchesDirectRun(t *testing.T) {
 	_, ts := testServer(t, Config{JobWorkers: 2})
 	body := jobBody(42, 2000, 40, true)
@@ -178,11 +176,8 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	if got.Summary.Trials != sum.Trials {
 		t.Fatalf("trials = %d, want %d", got.Summary.Trials, sum.Trials)
 	}
-	if relDiff(got.Summary.Mean, sum.Mean) > 1e-9 {
-		t.Fatalf("AAL = %v, want %v", got.Summary.Mean, sum.Mean)
-	}
-	if relDiff(got.Summary.StdDev, sum.StdDev) > 1e-9 {
-		t.Fatalf("stddev = %v, want %v", got.Summary.StdDev, sum.StdDev)
+	if got.Summary.Mean != sum.Mean || got.Summary.StdDev != sum.StdDev {
+		t.Fatalf("AAL/stddev = %v/%v, want %v/%v", got.Summary.Mean, got.Summary.StdDev, sum.Mean, sum.StdDev)
 	}
 	q, err := pricing.Price(ylt, pricing.Config{OccLimit: p.Layers[0].LTerms.OccLimit})
 	if err != nil {
@@ -194,7 +189,6 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	if got.Quote.TechnicalPremium != q.TechnicalPremium || got.Quote.TVaR99 != q.TVaR99 {
 		t.Fatalf("quote = %+v, want %+v", got.Quote, q)
 	}
-	// Online PML sketches: a few percent of the exact empirical value.
 	curve, err := metrics.NewEPCurve(ylt)
 	if err != nil {
 		t.Fatal(err)
@@ -207,17 +201,10 @@ func TestJobMatchesDirectRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if relDiff(pt.Loss, exact) > 0.10 {
+		if pt.Loss != exact {
 			t.Fatalf("PML(100) = %v, exact %v", pt.Loss, exact)
 		}
 	}
-}
-
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
 // Parallel submission of jobs sharing one YET spec: every job completes

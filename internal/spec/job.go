@@ -157,10 +157,9 @@ type MetricsSpec struct {
 	// finite value > 1.
 	ReturnPeriods []float64 `json:"returnPeriods,omitempty"`
 
-	// Quotes asks for a premium quote per layer. Quoting needs the full
-	// Year Loss Table (exact quantiles and TVaR), so quoted jobs
-	// materialise O(layers x trials) memory where unquoted jobs stay on
-	// the online sinks.
+	// Quotes asks for a premium quote per layer, priced from the same
+	// Year Loss Table column and sorted curve that render the layer's
+	// summary and EP points.
 	Quotes bool `json:"quotes,omitempty"`
 
 	// VolatilityMultiplier and ExpenseRatio override the pricing

@@ -39,8 +39,8 @@ func runChaos(t *testing.T, cfg chaostest.Config) *chaostest.Report {
 // TestChaosSmoke is the CI gate: one seeded run at the default shape —
 // at least two worker kills and one coordinator restart are guaranteed
 // by the script, and every completed job must match the oracle
-// (bitwise for single-node jobs, documented merge tolerances for
-// distributed ones) while no job is lost or double-completed.
+// bitwise, single-node and distributed alike, while no job is lost or
+// double-completed.
 func TestChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos smoke spawns a process cluster; skipped in -short")
