@@ -148,7 +148,11 @@ type (
 	YET = yet.Table
 	// YETConfig controls YET generation.
 	YETConfig = yet.Config
-	// EventSource supplies event draws for YET generation.
+	// EventSource supplies event draws for YET generation. GenerateYET
+	// calls Draw concurrently from several goroutines, so an
+	// implementation must be safe for concurrent use and draw all of
+	// its randomness from the *rng.Rand it is given (see
+	// yet.EventSource).
 	EventSource = yet.EventSource
 
 	// Engine is a compiled portfolio ready to run against YETs.

@@ -1,13 +1,15 @@
 package yet
 
-// Coverage for the on-disk format: the writer's exact size, a bitwise
-// round trip across generation shapes, and the version gate on every
-// reader.
+// Coverage for the on-disk format: the writer's exact size and bytes, a
+// bitwise round trip across generation shapes, and the version gate on
+// every reader.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -93,6 +95,47 @@ func TestUnknownVersionRejected(t *testing.T) {
 		}
 		if _, err := Map(path); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: Map err = %v, want ErrBadVersion", v, err)
+		}
+	}
+}
+
+// TestWriteToBytesGolden pins the exact bytes WriteTo emits, as FNV-64a
+// over the whole serialisation, for a heap table, a Slice view of it
+// (rebased bounds, a column starting mid-table) and the mapped table
+// read back from the heap table's file. The event column spans several
+// 64 KiB encode blocks, so any change to the encoder that moves a byte
+// shows here.
+func TestWriteToBytesGolden(t *testing.T) {
+	tab := genTable(t, Config{Seed: 70, Trials: 400, MeanEvents: 120, Dispersion: 2}, 5000)
+	path := filepath.Join(t.TempDir(), "golden.yet")
+	if err := WriteFile(path, tab); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := Map(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	hash := func(tab *Table) string {
+		h := fnv.New64a()
+		n, err := tab.WriteTo(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%016x/%d", h.Sum64(), n)
+	}
+	for _, tc := range []struct {
+		name string
+		tab  *Table
+		want string
+	}{
+		{"heap", tab, "a150e5379620d2f4/194604"},
+		{"slice", tab.Slice(37, 251), "257bd08f43e1cee1/104256"},
+		{"mapped", mapped, "a150e5379620d2f4/194604"},
+		{"mapped slice", mapped.Slice(37, 251), "257bd08f43e1cee1/104256"},
+	} {
+		if got := hash(tc.tab); got != tc.want {
+			t.Errorf("%s: WriteTo bytes = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -22,7 +22,10 @@
 //     occurrence counts, optional seasonal ordering), deterministic in
 //     the seed — trial i always comes from rng stream (seed, i), so a
 //     table's Config doubles as its content identity (the ared service
-//     caches generated tables under a hash of it).
+//     caches generated tables under a hash of it). Large tables are
+//     generated in up to GOMAXPROCS contiguous trial chunks, one
+//     goroutine each, into one preallocated event column; the content
+//     does not depend on the chunking.
 //   - Table.WriteTo / Read serialise a table in the package's binary
 //     format (version 3: header, bounds, event column).
 //   - Reader decodes that format incrementally — header and trial
@@ -34,12 +37,15 @@ package yet
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
 
 	"github.com/ralab/are/internal/catalog"
 	"github.com/ralab/are/internal/rng"
@@ -97,9 +103,23 @@ var (
 
 // EventSource abstracts "draw the next occurring event", normally a
 // *catalog.Catalog.
+//
+// Generation calls Draw (and PerilSource's PerilOf) concurrently from
+// several goroutines, each with its own *rng.Rand. An implementation
+// must therefore be safe for concurrent use, and all of its randomness
+// must come from r: a source that keeps its own generator or mutable
+// state would race, and its draws would depend on goroutine scheduling
+// instead of the trial's stream.
 type EventSource interface {
 	Draw(r *rng.Rand) catalog.EventID
 	NumEvents() int
+}
+
+// PerilSource is optionally implemented by event sources that can report
+// an event's peril, enabling peril-specific seasonality. Like Draw,
+// PerilOf is called concurrently and must be safe for concurrent use.
+type PerilSource interface {
+	PerilOf(id catalog.EventID) catalog.Peril
 }
 
 // uniformSource draws event IDs uniformly from [0, n); used when sampling
@@ -120,13 +140,20 @@ func UniformSource(n int) EventSource { return uniformSource{n: n} }
 // drawn from src, each with a uniform time of year, and ordered by that
 // time — the ordered-set structure the aggregate terms rely on.
 // Trial i is generated from rng stream (Seed, i), so the table content is
-// independent of generation order and may be parallelised.
+// independent of generation order, and GenerateRange fills contiguous
+// trial chunks in parallel.
 func Generate(src EventSource, cfg Config) (*Table, error) {
 	return GenerateRange(src, cfg, 0, cfg.Trials)
 }
 
 // ErrBadRange rejects shard bounds outside [0, Trials].
 var ErrBadRange = errors.New("yet: generation range outside [0, Trials]")
+
+// minChunkOccurrences is the smallest expected number of occurrences a
+// generation chunk gets its own goroutine for (a few milliseconds of
+// drawing and sorting), so test-sized tables and small shard ranges are
+// generated inline on the caller's goroutine.
+const minChunkOccurrences = 1 << 16
 
 // GenerateRange builds only trials [lo, hi) of the table Generate would
 // build from the same config: because trial i is a pure function of
@@ -136,11 +163,32 @@ var ErrBadRange = errors.New("yet: generation range outside [0, Trials]")
 // coordination — while the cluster's merged result still reproduces the
 // single-node run exactly.
 //
-// Each trial's (event, time) pairs are drawn and time-sorted in a small
-// scratch (the same draw order and sort call as every prior format
-// version, so the event order stays bitwise identical); only the events
-// are kept.
+// Each trial's (event, time) pairs are drawn in the order every format
+// version has drawn them and time-sorted in a small scratch with
+// slices.SortFunc; only the events are kept. slices.SortFunc and the
+// sort.Slice call earlier versions used are instantiations of one
+// pdqsort template, so they permute tied times identically and the
+// event order is unchanged bit for bit (TestGenerateEventOrderGolden).
+//
+// The range is split into at most GOMAXPROCS contiguous trial chunks of
+// at least minChunkOccurrences expected occurrences each. A first pass
+// re-derives every trial's count from its stream to fix the exact
+// bounds, the event column is allocated once, and each chunk fills its
+// own [bounds[a], bounds[b]) in place on its own goroutine. Every chunk
+// is joined before GenerateRange returns; a panic in one (from a
+// faulty EventSource) is re-raised on the caller's goroutine.
 func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
+	expect := cfg.MeanEvents
+	if cfg.FixedEvents > 0 {
+		expect = float64(cfg.FixedEvents)
+	}
+	chunks := int(float64(hi-lo) * expect / minChunkOccurrences)
+	return generate(src, cfg, lo, hi, min(runtime.GOMAXPROCS(0), chunks))
+}
+
+// generate is GenerateRange with the chunk count given: chunks is
+// clamped into [1, hi-lo], and every count yields the same table.
+func generate(src EventSource, cfg Config, lo, hi, chunks int) (*Table, error) {
 	if src == nil {
 		return nil, ErrNilSource
 	}
@@ -154,33 +202,79 @@ func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
 		return nil, fmt.Errorf("%w: [%d, %d) of %d", ErrBadRange, lo, hi, cfg.Trials)
 	}
 	n := hi - lo
-	t := &Table{bounds: make([]uint64, 1, n+1)}
-	expect := cfg.MeanEvents
-	if cfg.FixedEvents > 0 {
-		expect = float64(cfg.FixedEvents)
+	bounds := make([]uint64, n+1)
+	for i := 0; i < n; i++ {
+		c := cfg.FixedEvents
+		if c <= 0 {
+			c = trialCount(rng.At(cfg.Seed, uint64(lo+i)), cfg)
+		}
+		bounds[i+1] = bounds[i] + uint64(c)
 	}
-	t.events = make([]uint32, 0, int(float64(n)*expect*11/10))
+	t := &Table{events: make([]uint32, bounds[n]), bounds: bounds}
+	chunks = max(1, min(chunks, n))
+	if chunks == 1 {
+		t.fill(src, cfg, lo, 0, n)
+		return t, nil
+	}
+	var wg sync.WaitGroup
+	panics := make([]any, chunks)
+	for c := 0; c < chunks; c++ {
+		a, b := n*c/chunks, n*(c+1)/chunks
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[c] = recover() }()
+			t.fill(src, cfg, lo, a, b)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	return t, nil
+}
+
+// trialCount draws a trial's occurrence count, the first draws of its
+// stream, for a config without FixedEvents.
+func trialCount(r *rng.Rand, cfg Config) int {
+	if cfg.Dispersion > 1 {
+		return negBinomial(r, cfg.MeanEvents, cfg.Dispersion)
+	}
+	return stats.Poisson(r, cfg.MeanEvents)
+}
+
+// occurrence is one drawn (event, time of year) pair; the time only
+// decides the event's place in its trial.
+type occurrence struct {
+	event uint32
+	time  float64
+}
+
+// fill generates the table's trials [a, b) (table-relative; trial a is
+// stream lo+a) into their slots of the preallocated event column, which
+// the bounds already fix. It writes nothing outside [bounds[a],
+// bounds[b]), so chunks covering disjoint trial ranges may fill
+// concurrently.
+func (t *Table) fill(src EventSource, cfg Config, lo, a, b int) {
 	perils, _ := src.(PerilSource)
-	type occurrence struct {
-		event uint32
-		time  float64
-	}
 	var scratch []occurrence
-	for i := lo; i < hi; i++ {
-		r := rng.At(cfg.Seed, uint64(i))
+	for i := a; i < b; i++ {
+		r := rng.At(cfg.Seed, uint64(lo+i))
 		n := cfg.FixedEvents
 		if n <= 0 {
-			if cfg.Dispersion > 1 {
-				n = negBinomial(r, cfg.MeanEvents, cfg.Dispersion)
-			} else {
-				n = stats.Poisson(r, cfg.MeanEvents)
-			}
+			n = trialCount(r, cfg)
+		}
+		dst := t.events[t.bounds[i]:t.bounds[i+1]]
+		if n != len(dst) {
+			panic(fmt.Sprintf("yet: trial %d redrew %d occurrences, the count pass drew %d", lo+i, n, len(dst)))
 		}
 		if cap(scratch) < n {
 			scratch = make([]occurrence, n)
 		}
 		trial := scratch[:n]
-		for j := 0; j < n; j++ {
+		for j := range trial {
 			ev := src.Draw(r)
 			tm := r.Float64()
 			if cfg.Seasonal {
@@ -192,19 +286,11 @@ func GenerateRange(src EventSource, cfg Config, lo, hi int) (*Table, error) {
 			}
 			trial[j] = occurrence{event: uint32(ev), time: tm}
 		}
-		sort.Slice(trial, func(a, b int) bool { return trial[a].time < trial[b].time })
+		slices.SortFunc(trial, func(x, y occurrence) int { return cmp.Compare(x.time, y.time) })
 		for j := range trial {
-			t.events = append(t.events, trial[j].event)
+			dst[j] = trial[j].event
 		}
-		t.bounds = append(t.bounds, uint64(len(t.events)))
 	}
-	return t, nil
-}
-
-// PerilSource is optionally implemented by event sources that can report
-// an event's peril, enabling peril-specific seasonality.
-type PerilSource interface {
-	PerilOf(id catalog.EventID) catalog.Peril
 }
 
 // negBinomial draws a negative binomial count with the given mean and
@@ -269,6 +355,16 @@ func (t *Table) TrialEvents(i int) []uint32 {
 		return t.m.trialEvents(t.mbase+t.bounds[i], t.bounds[i+1]-t.bounds[i])
 	}
 	return t.events[t.bounds[i]:t.bounds[i+1]]
+}
+
+// column returns the whole event column, all trials in order (shared
+// storage, like TrialEvents).
+func (t *Table) column() []uint32 {
+	n := t.NumTrials()
+	if t.m != nil {
+		return t.m.trialEvents(t.mbase+t.bounds[0], t.bounds[n]-t.bounds[0])
+	}
+	return t.events[t.bounds[0]:t.bounds[n]]
 }
 
 // TrialLen returns the occurrence count of trial i without touching
@@ -360,15 +456,22 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	if err := write(t.bounds); err != nil {
 		return n, err
 	}
-	var rec [4]byte
-	for i := 0; i < t.NumTrials(); i++ {
-		for _, ev := range t.TrialEvents(i) {
-			binary.LittleEndian.PutUint32(rec[:], ev)
-			if _, err := bw.Write(rec[:]); err != nil {
-				return n, err
-			}
-			n += 4
+	// The event column is encoded in writeBlock-byte blocks: one Write
+	// per block, not one per occurrence.
+	const writeBlock = 64 << 10
+	col := t.column()
+	block := make([]byte, 0, min(writeBlock, OccurrenceBytes*len(col)))
+	for len(col) > 0 {
+		k := min(len(col), writeBlock/OccurrenceBytes)
+		block = block[:0]
+		for _, ev := range col[:k] {
+			block = binary.LittleEndian.AppendUint32(block, ev)
 		}
+		if _, err := bw.Write(block); err != nil {
+			return n, err
+		}
+		n += int64(len(block))
+		col = col[k:]
 	}
 	return n, bw.Flush()
 }
